@@ -27,7 +27,8 @@ namespace c4h::bench {
 /// node-count-parametric, `--neighborhoods N` sets the City's neighborhood
 /// count where the bench runs over the federation tier, and
 /// `--net-model global|incremental|analytical` picks the flow-rate solver
-/// for benches that exercise the raw network engine (DESIGN.md §13).
+/// for benches that exercise the raw network engine (DESIGN.md §13). Only
+/// such benches accept `--net-model`; see parse_args().
 struct BenchArgs {
   bool quick = false;
   std::uint64_t seed = 42;
@@ -38,7 +39,15 @@ struct BenchArgs {
 
 /// Parses the shared flags; unknown arguments are ignored so benches with
 /// extra flags (or Google Benchmark's own) can layer their parsing on top.
-inline BenchArgs parse_args(int argc, char** argv, BenchArgs defaults = {}) {
+/// `--net-model` is the exception: a bench that would silently run the
+/// default model anyway (`net_model_applies` false), a missing value or an
+/// unknown one prints why and exits with status 2.
+inline BenchArgs parse_args(int argc, char** argv, BenchArgs defaults = {},
+                            bool net_model_applies = false) {
+  const auto reject = [argv](const std::string& why) {
+    std::fprintf(stderr, "%s: --net-model %s\n", argv[0], why.c_str());
+    std::exit(2);
+  };
   BenchArgs a = defaults;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
@@ -51,14 +60,19 @@ inline BenchArgs parse_args(int argc, char** argv, BenchArgs defaults = {}) {
     } else if (std::strcmp(argv[i], "--neighborhoods") == 0 && i + 1 < argc) {
       const int n = std::atoi(argv[++i]);
       if (n > 0) a.neighborhoods = n;
-    } else if (std::strcmp(argv[i], "--net-model") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(argv[i], "--net-model") == 0) {
+      if (i + 1 >= argc) reject("needs a value: global, incremental or analytical");
       const char* m = argv[++i];
-      if (std::strcmp(m, "global") == 0) {
+      if (!net_model_applies) {
+        reject(std::string(m) + ": this bench runs the global model only");
+      } else if (std::strcmp(m, "global") == 0) {
         a.net_model = net::NetModel::global;
       } else if (std::strcmp(m, "incremental") == 0) {
         a.net_model = net::NetModel::incremental;
       } else if (std::strcmp(m, "analytical") == 0) {
         a.net_model = net::NetModel::analytical;
+      } else {
+        reject(std::string(m) + ": unknown model; expected global, incremental or analytical");
       }
     }
   }

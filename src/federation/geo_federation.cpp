@@ -290,18 +290,30 @@ sim::Task<Result<GeoFetch>> GeoFederation::fetch(HomeCloud& home, VStoreNode& no
 
 sim::Task<std::size_t> GeoFederation::repair_scan() {
   std::size_t created = 0;
+  // Cloud-resident entries need nothing (S3 is durable); the rest need
+  // attention below the replication degree.
+  const auto under_replicated = [this](const std::string& name, const Entry& e) {
+    return !e.replicas.empty() &&
+           live_replicas_of(name, e) < static_cast<std::size_t>(config_.replication);
+  };
   for (std::size_t part = 0; part < partitions_.size(); ++part) {
-    // Snapshot the shard's keys: placement below suspends, and the shard
-    // may gain/lose entries while we're away.
+    // Health-check entries in place: almost all are fully replicated, and
+    // nothing suspends until one is not. From there on, placement suspends
+    // and the shard may gain/lose entries while we're away, so the keys
+    // still to visit are snapshotted first (a key added meanwhile waits
+    // for the next scan).
+    const auto& shard = partitions_[part];
     std::vector<std::string> names;
-    names.reserve(partitions_[part].size());
-    for (const auto& [name, entry] : partitions_[part]) names.push_back(name);
+    const auto first = std::find_if(shard.begin(), shard.end(), [&](const auto& kv) {
+      return under_replicated(kv.first, kv.second);
+    });
+    for (auto it = first; it != shard.end(); ++it) names.push_back(it->first);
 
     for (const std::string& name : names) {
       const auto it = partitions_[part].find(name);
       if (it == partitions_[part].end()) continue;  // withdrawn meanwhile
+      if (!under_replicated(name, it->second)) continue;
       const Entry entry = it->second;
-      if (entry.replicas.empty()) continue;  // cloud-resident: S3 is durable
 
       std::vector<Replica> live;
       std::set<std::size_t> hosted;
@@ -310,7 +322,6 @@ sim::Task<std::size_t> GeoFederation::repair_scan() {
         VStoreNode* n = live_node(r);
         if (n != nullptr && n->fs().contains(name)) live.push_back(r);
       }
-      if (live.size() >= static_cast<std::size_t>(config_.replication)) continue;
       if (live.empty()) {
         // Nothing to heal from (until a hosting node restarts — its disk
         // survives — or unless the cloud holds a copy).
@@ -348,10 +359,14 @@ std::size_t GeoFederation::live_replicas(const std::string& object_name) const {
   const std::size_t part = partition_of(object_name);
   const auto it = partitions_[part].find(object_name);
   if (it == partitions_[part].end()) return 0;
+  return live_replicas_of(object_name, it->second);
+}
+
+std::size_t GeoFederation::live_replicas_of(const std::string& name, const Entry& e) {
   std::size_t live = 0;
-  for (const Replica& r : it->second.replicas) {
+  for (const Replica& r : e.replicas) {
     VStoreNode* n = live_node(r);
-    if (n != nullptr && n->fs().contains(object_name)) ++live;
+    if (n != nullptr && n->fs().contains(name)) ++live;
   }
   return live;
 }

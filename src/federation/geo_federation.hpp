@@ -151,6 +151,10 @@ class GeoFederation {
   /// is currently unreachable.
   static vstore::VStoreNode* live_node(const Replica& r);
 
+  /// Replicas of `e` (the entry for `name`) whose node is live and still
+  /// holds the object.
+  static std::size_t live_replicas_of(const std::string& name, const Entry& e);
+
   /// Directory round trip from `node` to the shard's neighborhood core.
   sim::Task<> directory_round_trip(vstore::VStoreNode& node, std::size_t partition);
 

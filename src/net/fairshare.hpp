@@ -11,8 +11,9 @@
 //
 //  * max_min_fair_rates() — the original one-shot global water-filling.
 //    It is the semantic reference: Network's default (`NetModel::global`)
-//    calls it on every network event, and the incremental engine's property
-//    tests compare against it.
+//    calls it on every network event, through LoadedLinkProblem, over the
+//    links that carry a flow; the incremental engine's property tests
+//    compare against it.
 //
 //  * FairShareEngine — the incremental solver (ROADMAP item 1). It keeps
 //    per-link flow sets and, on a flow add/remove/cap change or a link
@@ -106,6 +107,60 @@ inline std::vector<Rate> max_min_fair_rates(const std::vector<Rate>& link_capaci
   }
   return rate;
 }
+
+/// The input of max_min_fair_rates() restricted to the links some flow
+/// loads. An idle link never bounds the increment and never accumulates
+/// usage, so the compact problem yields bit-identical rates, and building
+/// and solving it costs O(flows × path length) instead of O(links in the
+/// topology) per water-filling iteration. The link→local map is stamped
+/// with a per-problem epoch, so reset() is O(1) and the scratch is reused.
+class LoadedLinkProblem {
+ public:
+  explicit LoadedLinkProblem(std::size_t link_count)
+      : link_epoch_(link_count, 0), link_local_(link_count, 0) {}
+
+  /// Starts a new, empty problem.
+  void reset() {
+    ++epoch_;
+    caps_.clear();
+    n_flows_ = 0;
+  }
+
+  /// Appends a flow over global link ids. `capacity_of(link)` is read once
+  /// per link per problem, when the link is first loaded.
+  template <typename CapacityOf>
+  void add_flow(const std::vector<std::uint32_t>& links, Rate cap, CapacityOf&& capacity_of) {
+    if (n_flows_ == flows_.size()) flows_.emplace_back();
+    FairFlowDesc& d = flows_[n_flows_++];
+    d.links.clear();
+    for (const std::uint32_t l : links) {
+      if (link_epoch_[l] != epoch_) {
+        link_epoch_[l] = epoch_;
+        link_local_[l] = static_cast<std::uint32_t>(caps_.size());
+        caps_.push_back(capacity_of(l));
+      }
+      d.links.push_back(link_local_[l]);
+    }
+    d.cap = cap;
+  }
+
+  /// One rate per added flow, in insertion order.
+  std::vector<Rate> solve() {
+    flows_.resize(n_flows_);
+    return max_min_fair_rates(caps_, flows_);
+  }
+
+  /// Links loaded by the current problem.
+  std::size_t loaded_links() const { return caps_.size(); }
+
+ private:
+  std::uint64_t epoch_ = 0;
+  std::vector<std::uint64_t> link_epoch_;   // == epoch_: link mapped this problem
+  std::vector<std::uint32_t> link_local_;   // global link id → local index
+  std::vector<Rate> caps_;                  // by local index
+  std::vector<FairFlowDesc> flows_;
+  std::size_t n_flows_ = 0;
+};
 
 /// Incremental max-min fair-share solver over the flow–link conflict graph.
 ///

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 #include "src/sim/fault.hpp"
 
@@ -201,6 +202,14 @@ double Network::flow_cap(const Flow& f) const {
          f.profile.phase_fraction(static_cast<Bytes>(f.done)) * f.jitter_mult;
 }
 
+Duration Network::time_to_event(const Flow& f) const {
+  double bytes_to_event = f.total - f.done;
+  if (const auto b = f.profile.next_phase_boundary(static_cast<Bytes>(f.done))) {
+    bytes_to_event = std::min(bytes_to_event, static_cast<double>(*b) - f.done);
+  }
+  return from_seconds(std::max(bytes_to_event, 0.0) / f.rate);
+}
+
 std::uint64_t Network::add_flow(const std::vector<LinkId>& links, Bytes size, TcpProfile profile,
                                 std::function<void()> on_complete) {
   const std::uint64_t id = next_flow_id_++;
@@ -259,7 +268,6 @@ void Network::recompute() {
   for (auto it = flows_.begin(); it != flows_.end();) {
     Flow& f = it->second;
     if (f.total - f.done <= kByteEps) {
-      sim_.cancel(f.next_event);
       completed.push_back(std::move(f.on_complete));
       link_index_remove(f);
       it = flows_.erase(it);
@@ -268,62 +276,47 @@ void Network::recompute() {
     }
   }
 
-  // Solve max-min rates for the remaining flows.
-  std::vector<Rate> caps(topo_.link_count());
-  for (LinkId l = 0; l < caps.size(); ++l) caps[l] = topo_.link(l).capacity;
+  // Solve max-min rates for the remaining flows over the links they load.
+  problem_.reset();
+  for (const auto& [id, f] : flows_) {
+    problem_.add_flow(f.links, flow_cap(f), [this](LinkId l) { return topo_.link(l).capacity; });
+  }
+  const std::vector<Rate> rates = problem_.solve();
 
-  std::vector<std::uint64_t> ids;
-  std::vector<FairFlowDesc> descs;
-  ids.reserve(flows_.size());
-  descs.reserve(flows_.size());
+  // Re-arm the one network timer at the earliest completion or TCP phase
+  // boundary over all flows: whichever comes first re-solves them all.
+  sim_.cancel(timer_);
+  timer_ = {};
+  std::optional<Duration> next;
+  std::size_t i = 0;
   for (auto& [id, f] : flows_) {
-    ids.push_back(id);
-    FairFlowDesc d;
-    d.links = f.links;
-    d.cap = flow_cap(f);
-    descs.push_back(std::move(d));
-  }
-  const std::vector<Rate> rates = max_min_fair_rates(caps, descs);
-
-  // Reschedule each flow's next event: completion or TCP phase boundary.
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    Flow& f = flows_.at(ids[i]);
-    f.rate = rates[i];
-    sim_.cancel(f.next_event);
+    f.rate = rates[i++];
     if (f.rate <= 0) continue;  // parked until some other event frees capacity
-    double bytes_to_event = f.total - f.done;
-    if (const auto b = f.profile.next_phase_boundary(static_cast<Bytes>(f.done))) {
-      bytes_to_event = std::min(bytes_to_event, static_cast<double>(*b) - f.done);
-    }
-    const Duration dt = from_seconds(std::max(bytes_to_event, 0.0) / f.rate);
-    f.next_event = sim_.schedule(dt, [this] { recompute(); });
+    const Duration dt = time_to_event(f);
+    if (!next || dt < *next) next = dt;
   }
+  if (next) timer_ = sim_.schedule(*next, [this] { recompute(); });
 
   for (auto& cb : completed) cb();
 }
 
 // ---- incremental / analytical fast paths -----------------------------------
 //
-// The global model above pays O(total flows) per network event. The fast
-// paths pay O(affected component): each flow schedules its *own* next event
-// (completion or TCP phase boundary) and, when it fires, only the flows
-// whose rates can actually change — those sharing links, transitively for
-// the incremental solver, one hop for the analytical one — are advanced and
-// re-rated. Unaffected flows keep running at their piecewise-constant rates
-// with stale `done`/`last_update`, which advance_flow() settles lazily the
-// next time they are touched.
+// The global model above pays O(flows × path length) per network event.
+// The fast paths pay O(affected component): each flow schedules its *own*
+// next event (completion or TCP phase boundary) and, when it fires, only
+// the flows whose rates can actually change — those sharing links,
+// transitively for the incremental solver, one hop for the analytical one —
+// are advanced and re-rated. Unaffected flows keep running at their
+// piecewise-constant rates with stale `done`/`last_update`, which
+// advance_flow() settles lazily the next time they are touched.
 
 void Network::reschedule_flow(Flow& f) {
   sim_.cancel(f.next_event);
   f.next_event = {};
   if (f.rate <= 0) return;  // parked until some other event frees capacity
-  double bytes_to_event = f.total - f.done;
-  if (const auto b = f.profile.next_phase_boundary(static_cast<Bytes>(f.done))) {
-    bytes_to_event = std::min(bytes_to_event, static_cast<double>(*b) - f.done);
-  }
-  const Duration dt = from_seconds(std::max(bytes_to_event, 0.0) / f.rate);
   const std::uint64_t id = f.id;
-  f.next_event = sim_.schedule(dt, [this, id] { on_flow_event(id); });
+  f.next_event = sim_.schedule(time_to_event(f), [this, id] { on_flow_event(id); });
 }
 
 void Network::apply_commit() {
@@ -366,10 +359,6 @@ void Network::solve_analytical(const std::vector<LinkId>& links) {
 }
 
 void Network::on_flow_event(std::uint64_t id) {
-  if (model_ == NetModel::global) {
-    recompute();
-    return;
-  }
   const auto it = flows_.find(id);
   if (it == flows_.end()) return;  // defensive; cancellation should prevent this
   Flow& f = it->second;

@@ -40,8 +40,10 @@ struct NetworkStats {
 /// Rate-allocation model (ROADMAP item 1).
 ///
 ///  * `global` — the original engine: every network event re-solves max-min
-///    rates for *all* flows. Byte-identical to the pre-arena engine; the
-///    default, and what every golden/scenario artifact is pinned against.
+///    rates for *all* flows, over only the links they load, and re-arms one
+///    network-wide timer at the earliest completion or TCP phase boundary.
+///    Byte-identical to the pre-arena engine; the default, and what every
+///    golden/scenario artifact is pinned against.
 ///  * `incremental` — re-solves only the connected component of the
 ///    flow–link conflict graph the event touched (FairShareEngine). Rates
 ///    agree with the global solve to ~1e-9 (property-tested), but the
@@ -56,7 +58,7 @@ class Network {
  public:
   Network(sim::Simulation& sim, Topology topology)
       : sim_(sim), topo_(std::move(topology)), rng_(sim.rng().fork()),
-        link_flows_(topo_.link_count()) {}
+        problem_(topo_.link_count()), link_flows_(topo_.link_count()) {}
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -130,7 +132,7 @@ class Network {
     double jitter_mult = 1.0;
     Rate rate = 0;
     TimePoint last_update{};
-    sim::EventId next_event;
+    sim::EventId next_event;  // incremental / analytical only
     std::function<void()> on_complete;
   };
 
@@ -141,6 +143,7 @@ class Network {
 
   // Shared helpers (all models).
   double flow_cap(const Flow& f) const;     // TCP/bottleneck/jitter rate cap
+  Duration time_to_event(const Flow& f) const;  // to completion or phase boundary
   void advance_flow(Flow& f);               // credit progress at current rate
   void link_index_add(const Flow& f);
   void link_index_remove(const Flow& f);
@@ -163,6 +166,12 @@ class Network {
   // layout — determinism rule R3 (tools/c4h-lint).
   std::map<std::uint64_t, Flow> flows_;
   NetModel model_ = NetModel::global;
+  // global model: one network-wide timer armed at the earliest completion or
+  // TCP phase boundary over all flows.
+  sim::EventId timer_;
+  // global model: recompute()'s solver input over loaded links only, one
+  // flow per entry of flows_ in order, reused across solves.
+  LoadedLinkProblem problem_;
   std::unique_ptr<FairShareEngine> engine_;  // incremental model only
   // Per-link index of in-flight flow ids, ascending (ids are monotone and
   // flows join at admission). Serves O(flows-on-link) link_load in every

@@ -196,6 +196,41 @@ TEST(FairShareEngineTest, FlowsOnLinkStaysSortedAndExact) {
   EXPECT_TRUE(eng.flows_on_link(1).empty());
 }
 
+// ---- Loaded-links-only solve -------------------------------------------------
+
+TEST(LoadedLinkProblemTest, MatchesFullSolveBitForBitWithManyIdleLinks) {
+  // The global model solves only the links some flow loads. On random
+  // problems where most links are idle, those rates must equal the full
+  // solve's exactly (==, not within a tolerance). One problem object is
+  // reused across all seeds, so a stale link mapping would show up too.
+  LoadedLinkProblem problem{64};
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng{seed};
+    std::vector<Rate> caps(64);
+    for (Rate& c : caps) c = rng.uniform(1e4, 2e7);
+    // Flows load links from a random subset of 3..10 of the 64.
+    std::vector<std::uint32_t> hot;
+    const auto n_hot = 3 + rng.below(8);
+    while (hot.size() < n_hot) {
+      const auto l = static_cast<std::uint32_t>(rng.below(caps.size()));
+      if (std::find(hot.begin(), hot.end(), l) == hot.end()) hot.push_back(l);
+    }
+    std::vector<FairFlowDesc> flows(1 + rng.below(12));
+    problem.reset();
+    for (FairFlowDesc& f : flows) {
+      const auto n_path = rng.below(4);  // 0..3 links; 0 is loopback
+      for (std::uint64_t k = 0; k < n_path; ++k) {
+        const std::uint32_t l = hot[rng.below(hot.size())];
+        if (std::find(f.links.begin(), f.links.end(), l) == f.links.end()) f.links.push_back(l);
+      }
+      f.cap = rng.below(4) == 0 ? std::numeric_limits<Rate>::infinity() : rng.uniform(5e3, 1e7);
+      problem.add_flow(f.links, f.cap, [&caps](std::uint32_t l) { return caps[l]; });
+    }
+    EXPECT_LE(problem.loaded_links(), hot.size()) << "seed " << seed;
+    EXPECT_EQ(problem.solve(), max_min_fair_rates(caps, flows)) << "seed " << seed;
+  }
+}
+
 // ---- Network-level equivalence ---------------------------------------------
 
 struct Star {

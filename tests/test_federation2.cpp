@@ -3,6 +3,9 @@
 // cost tiers, churn repair, and same-seed determinism.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/federation/geo_federation.hpp"
 
 namespace c4h::federation {
@@ -66,6 +69,24 @@ struct CityRig {
 
   void offline_home(HomeCloud& hc, bool online) {
     for (std::size_t i = 0; i < hc.node_count(); ++i) hc.node(i).host().set_online(online);
+  }
+
+  void trace_all() {
+    for (auto& hc : homes) hc->tracer().set_enabled(true);
+  }
+
+  /// The `object` of every fed2.repair span recorded by any home.
+  std::vector<std::string> repair_spans() const {
+    std::vector<std::string> objects;
+    for (const auto& hc : homes) {
+      for (const obs::Span& sp : hc->tracer().spans()) {
+        if (sp.name != "fed2.repair") continue;
+        for (const auto& [k, v] : sp.attrs) {
+          if (k == "object") objects.push_back(v);
+        }
+      }
+    }
+    return objects;
   }
 };
 
@@ -192,6 +213,86 @@ TEST(GeoFederation, RepairRestoresReplicationDegree) {
   }(rig));
   EXPECT_EQ(rig.fed->stats().repairs, 1u);
   EXPECT_EQ(rig.fed->stats().repair_failures, 0u);
+}
+
+TEST(GeoFederation, RepairScanOfHealthyDirectoryChangesNothing) {
+  CityRig rig;
+  rig.city.run([](CityRig& r) -> Task<> {
+    for (int h = 0; h < kHoods; ++h) {
+      const std::string name = "city/ok-" + std::to_string(h);
+      co_await r.store_in(r.home(h, 0), name, 256_KB);
+      (void)co_await r.fed->publish(r.home(h, 0), r.home(h, 0).node(0), name);
+    }
+    r.trace_all();
+    const std::string before = r.fed->fingerprint();
+    const GeoStats stats = r.fed->stats();
+    const TimePoint t0 = r.city.sim().now();
+
+    const std::size_t healed = co_await r.fed->repair_scan();
+    EXPECT_EQ(healed, 0u);
+    EXPECT_EQ(r.fed->fingerprint(), before);
+    EXPECT_EQ(r.fed->stats().repairs, stats.repairs);
+    EXPECT_EQ(r.fed->stats().repair_failures, stats.repair_failures);
+    EXPECT_EQ(r.city.sim().now(), t0);  // a healthy scan never suspends
+    EXPECT_TRUE(r.repair_spans().empty());
+  }(rig));
+}
+
+TEST(GeoFederation, RepairScanHealsOnlyTheUnderReplicatedEntry) {
+  CityRig rig;
+  rig.city.run([](CityRig& r) -> Task<> {
+    // "a" is owned in hood 0 with its replica in hood 1; "b" is owned in
+    // hood 2 with its replica in hood 0. Neither has a copy where the
+    // other's replica lives.
+    co_await r.store_in(r.home(0, 0), "city/a.jpg", 256_KB);
+    (void)co_await r.fed->publish(r.home(0, 0), r.home(0, 0).node(0), "city/a.jpg");
+    co_await r.store_in(r.home(2, 1), "city/b.jpg", 256_KB);
+    (void)co_await r.fed->publish(r.home(2, 1), r.home(2, 1).node(0), "city/b.jpg");
+    HomeCloud* host = nullptr;
+    for (int i = 0; i < kHomesPerHood; ++i) {
+      HomeCloud& hc = r.home(1, i);
+      for (std::size_t n = 0; n < hc.node_count(); ++n) {
+        if (hc.node(n).fs().contains("city/a.jpg")) host = &hc;
+      }
+    }
+    EXPECT_NE(host, nullptr);
+    if (host == nullptr) co_return;
+    r.trace_all();
+    const GeoStats stats = r.fed->stats();
+
+    r.offline_home(*host, false);
+    EXPECT_EQ(r.fed->live_replicas("city/a.jpg"), 1u);
+    EXPECT_EQ(r.fed->live_replicas("city/b.jpg"), 2u);
+    const std::size_t healed = co_await r.fed->repair_scan();
+    EXPECT_EQ(healed, 1u);
+    EXPECT_EQ(r.fed->live_replicas("city/a.jpg"), 2u);
+    EXPECT_EQ(r.fed->live_replicas("city/b.jpg"), 2u);
+    EXPECT_EQ(r.fed->stats().repairs, stats.repairs + 1);
+    EXPECT_EQ(r.fed->stats().repair_failures, stats.repair_failures);
+    EXPECT_EQ(r.repair_spans(), std::vector<std::string>{"city/a.jpg"});
+  }(rig));
+}
+
+TEST(GeoFederation, RepairScanCountsAnEntryWithNoLiveCopyAsAFailure) {
+  CityRig rig;
+  rig.city.run([](CityRig& r) -> Task<> {
+    co_await r.store_in(r.home(0, 0), "city/lost.jpg", 256_KB);
+    (void)co_await r.fed->publish(r.home(0, 0), r.home(0, 0).node(0), "city/lost.jpg");
+    for (int i = 0; i < kHomesPerHood; ++i) {
+      r.offline_home(r.home(0, i), false);
+      r.offline_home(r.home(1, i), false);
+    }
+    EXPECT_EQ(r.fed->live_replicas("city/lost.jpg"), 0u);
+    r.trace_all();
+    const std::string before = r.fed->fingerprint();
+
+    const std::size_t healed = co_await r.fed->repair_scan();
+    EXPECT_EQ(healed, 0u);
+    EXPECT_EQ(r.fed->fingerprint(), before);
+    EXPECT_TRUE(r.repair_spans().empty());
+  }(rig));
+  EXPECT_EQ(rig.fed->stats().repairs, 0u);
+  EXPECT_EQ(rig.fed->stats().repair_failures, 1u);
 }
 
 TEST(GeoFederation, UnavailableOnlyWhenEveryReplicaIsDead) {

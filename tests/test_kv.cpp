@@ -2,6 +2,7 @@
 // replication, leave-time redistribution, failure repair.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -379,8 +380,11 @@ TEST(Kv, LookupLatencyIsConstantInValueSizeRegime) {
 
 // Property sweep: random workloads keep the store consistent with an oracle
 // map, across cache/replication configurations.
+// The test names carry the raw bytes of this struct, so it has no padding:
+// a bool here would leave three uninitialised bytes in every name, and the
+// names would change from build to build.
 struct KvSweepParam {
-  bool caching;
+  std::int32_t caching;  // 0 or 1
   int replication;
   std::uint64_t seed;
 };
@@ -390,7 +394,7 @@ class KvRandomSweep : public ::testing::TestWithParam<KvSweepParam> {};
 TEST_P(KvRandomSweep, MatchesOracleMap) {
   const auto param = GetParam();
   KvConfig cfg;
-  cfg.path_caching = param.caching;
+  cfg.path_caching = param.caching != 0;
   cfg.replication = param.replication;
   Rig rig{6, cfg};
   rig.run([param](Rig& r) -> Task<> {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "src/common/stats.hpp"
 #include "src/net/fairshare.hpp"
@@ -380,6 +382,148 @@ TEST_P(ContentionSweep, NFlowsFinishInNTimesSingleFlowTime) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Flows, ContentionSweep, ::testing::Values(1, 2, 3, 5, 8));
+
+// --- Pinned global-model program --------------------------------------------
+//
+// One program over the global model's whole feature surface: slow-start and
+// policed TCP profiles, a jittered WAN uplink, striped transfers, mid-flight
+// capacity changes, transfers chained off completions, and idle links that
+// no flow ever loads. The expected completion times were recorded before the
+// model moved to one network-wide timer and a loaded-links-only solve; both
+// changes must leave every one of them (and the executed-event count)
+// exactly where it was.
+
+struct PinnedRun {
+  std::vector<std::int64_t> done_ns;  // by op index, not completion order
+  std::uint64_t events = 0;
+};
+
+PinnedRun run_pinned_program() {
+  Topology t;
+  const auto sw = t.add_node();
+  const auto gw = t.add_node();
+  const auto cloud = t.add_node();
+  std::vector<NetNodeId> hosts;
+  for (int i = 0; i < 5; ++i) {
+    hosts.push_back(t.add_node());
+    t.add_duplex(hosts.back(), sw, mib_per_sec(11.9), microseconds(150), 0.2);
+  }
+  for (int i = 0; i < 6; ++i) {  // idle: never on any flow's path
+    t.add_duplex(t.add_node(), sw, mib_per_sec(11.9), microseconds(150));
+  }
+  t.add_duplex(sw, gw, mib_per_sec(100.0), microseconds(50));
+  const LinkId uplink = t.add_link(gw, cloud, mib_per_sec(1.5), milliseconds(20), 0.1, 0.45);
+  t.add_link(cloud, gw, mib_per_sec(6.0), milliseconds(20), 0.1, 0.3);
+  const LinkId lan0 = t.route(hosts[0], sw).at(0);
+
+  Simulation sim{2011};
+  Network net{sim, std::move(t)};
+
+  TcpProfile slow;
+  slow.rtt = milliseconds(40);
+  slow.window_cap = 160000;
+  slow.slow_start_bytes = 1_MB;
+  slow.slow_start_fraction = 0.45;
+  slow.handshake = milliseconds(25);
+  TcpProfile policed = slow;
+  policed.window_cap = 400000;
+  policed.slow_start_bytes = 512_KB;
+  policed.slow_start_fraction = 0.5;
+  policed.policing_burst = 3_MB;
+  policed.policed_fraction = 0.5;
+
+  PinnedRun out;
+  out.done_ns.assign(14, -1);
+  // Ops 0-9: a LAN copy, and on its completion an upload of the same
+  // object, alternating profiles (the completion starts the next transfer).
+  const auto chain = [](Simulation& s, Network& n, NetNodeId a, NetNodeId b, NetNodeId c,
+                        Bytes size, Duration start, TcpProfile wan, std::int64_t& lan_done,
+                        std::int64_t& wan_done) -> Task<> {
+    co_await s.delay(start);
+    co_await n.transfer(a, b, size);
+    lan_done = s.now().count();
+    co_await n.transfer(b, c, size, wan);
+    wan_done = s.now().count();
+  };
+  for (std::size_t i = 0; i < 5; ++i) {
+    sim.spawn(chain(sim, net, hosts[i], hosts[(i + 1) % 5], cloud,
+                    1_MB + static_cast<Bytes>(i) * 700_KB, milliseconds(90) * static_cast<int>(i),
+                    i % 2 == 0 ? slow : policed, out.done_ns[2 * i], out.done_ns[2 * i + 1]));
+  }
+  // Ops 10-11: striped upload and download that overlap the chains.
+  const auto striped = [](Simulation& s, Network& n, NetNodeId a, NetNodeId b, Bytes size,
+                          int streams, Duration start, TcpProfile p,
+                          std::int64_t& done) -> Task<> {
+    co_await s.delay(start);
+    co_await n.transfer_striped(a, b, size, p, streams);
+    done = s.now().count();
+  };
+  sim.spawn(striped(sim, net, hosts[1], cloud, 6_MB, 3, milliseconds(200), policed,
+                    out.done_ns[10]));
+  sim.spawn(striped(sim, net, cloud, hosts[3], 5_MB, 2, milliseconds(350), slow,
+                    out.done_ns[11]));
+  // Ops 12-13: LAN transfers out of and into the host whose link is
+  // throttled below.
+  sim.spawn(striped(sim, net, hosts[0], hosts[2], 8_MB, 1, milliseconds(1100), {},
+                    out.done_ns[12]));
+  sim.spawn(striped(sim, net, hosts[4], hosts[0], 3_MB, 1, milliseconds(1300), {},
+                    out.done_ns[13]));
+  // Capacity changes while flows are in flight.
+  const auto set_cap = [](Simulation& s, Network& n, LinkId l, Rate cap,
+                          Duration at) -> Task<> {
+    co_await s.delay(at);
+    n.set_link_capacity(l, cap);
+  };
+  sim.spawn(set_cap(sim, net, uplink, mib_per_sec(0.5), milliseconds(1500)));
+  sim.spawn(set_cap(sim, net, lan0, mib_per_sec(2.0), milliseconds(1700)));
+  sim.spawn(set_cap(sim, net, uplink, mib_per_sec(2.0), milliseconds(4000)));
+  sim.spawn(set_cap(sim, net, lan0, mib_per_sec(11.9), milliseconds(4500)));
+  sim.run();
+  EXPECT_EQ(net.active_flows(), 0u);
+  out.events = sim.events_executed();
+  return out;
+}
+
+TEST(NetworkPinned, GlobalModelCompletionTimesAreUnchanged) {
+  const PinnedRun run = run_pinned_program();
+  const std::vector<std::int64_t> want{
+      84577939,   5898664088, 239713000,  8684018070, 381917742,
+      10225744943, 528936703,  10945856914, 676082582, 11545636943,
+      9589653837, 1316214506, 2192176371, 1555997009};
+  EXPECT_EQ(run.done_ns, want);
+  EXPECT_EQ(run.events, 94u);
+}
+
+TEST(NetworkTimer, GlobalModelArmsOneTimerForAllFlows) {
+  // 50 flows of distinct sizes share one link and finish one at a time.
+  // Once they are admitted, the queue holds the network's one timer plus,
+  // right after a completion, the finished transfer's resumption — never
+  // one event per flow in flight.
+  Simulation sim;
+  auto hp = make_lan(10.0 * 1000 * 1000);
+  Network net{sim, std::move(hp.topo)};
+  net.set_hop_processing(Duration::zero());
+  std::vector<Duration> took(50);
+  for (std::size_t i = 0; i < took.size(); ++i) {
+    sim.spawn(timed_transfer(net, sim, hp.a, hp.b, 100000 * static_cast<Bytes>(i + 1), took[i]));
+  }
+  // Every handshake lands at the same instant. The step after the last
+  // admission prunes the timers that each admission superseded.
+  while (net.active_flows() < took.size()) ASSERT_TRUE(sim.step());
+  ASSERT_TRUE(sim.step());
+  std::size_t checked = 0;
+  while (net.active_flows() > 0) {
+    const auto& st = net.stats();
+    const std::size_t resuming = st.flows_started - st.flows_completed - net.active_flows();
+    EXPECT_LE(sim.event_queue_size(), 1u + resuming)
+        << "with " << net.active_flows() << " flows in flight";
+    ++checked;
+    ASSERT_TRUE(sim.step());
+  }
+  sim.run();
+  EXPECT_GE(checked, took.size() - 1);
+  EXPECT_EQ(net.stats().flows_completed, took.size());
+}
 
 }  // namespace
 }  // namespace c4h::net
