@@ -24,68 +24,46 @@ namespace c4h::bench {
 /// The flags every bench understands. `--quick` selects the CI smoke subset,
 /// `--seed N` re-seeds the whole run (same seed ⇒ byte-identical artifact),
 /// `--nodes N` sets the home-cloud device count where the bench is
-/// node-count-parametric, `--neighborhoods N` sets the City's neighborhood
-/// count where the bench runs over the federation tier, and
-/// `--net-model global|incremental|analytical` picks the flow-rate solver
-/// for benches that exercise the raw network engine (DESIGN.md §13). Only
-/// such benches accept `--net-model`; see parse_args().
+/// node-count-parametric, and `--neighborhoods N` sets the City's
+/// neighborhood count where the bench runs over the federation tier.
 struct BenchArgs {
   bool quick = false;
   std::uint64_t seed = 42;
   int nodes = 6;
   int neighborhoods = 4;
-  net::NetModel net_model = net::NetModel::global;
 };
 
-/// Parses the shared flags; unknown arguments are ignored so benches with
-/// extra flags (or Google Benchmark's own) can layer their parsing on top.
-/// `--net-model` is the exception: a bench that would silently run the
-/// default model anyway (`net_model_applies` false), a missing value or an
-/// unknown one prints why and exits with status 2.
-inline BenchArgs parse_args(int argc, char** argv, BenchArgs defaults = {},
-                            bool net_model_applies = false) {
-  const auto reject = [argv](const std::string& why) {
-    std::fprintf(stderr, "%s: --net-model %s\n", argv[0], why.c_str());
+/// Parses the shared flags. An argument it does not know, or one of the
+/// valued flags with no value, prints why and exits with status 2: a flag
+/// that is silently dropped would run the bench in a configuration nobody
+/// asked for.
+inline BenchArgs parse_args(int argc, char** argv) {
+  const auto reject = [argv](const char* arg, const char* why) {
+    std::fprintf(stderr, "%s: %s: %s\n", argv[0], arg, why);
     std::exit(2);
   };
-  BenchArgs a = defaults;
+  BenchArgs a;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
+    const char* arg = argv[i];
+    const auto value = [&]() -> const char* {
+      if (i + 1 >= argc) reject(arg, "needs a value");
+      return argv[++i];
+    };
+    if (std::strcmp(arg, "--quick") == 0) {
       a.quick = true;
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      a.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--nodes") == 0 && i + 1 < argc) {
-      const int n = std::atoi(argv[++i]);
+    } else if (std::strcmp(arg, "--seed") == 0) {
+      a.seed = std::strtoull(value(), nullptr, 10);
+    } else if (std::strcmp(arg, "--nodes") == 0) {
+      const int n = std::atoi(value());
       if (n > 0) a.nodes = n;
-    } else if (std::strcmp(argv[i], "--neighborhoods") == 0 && i + 1 < argc) {
-      const int n = std::atoi(argv[++i]);
+    } else if (std::strcmp(arg, "--neighborhoods") == 0) {
+      const int n = std::atoi(value());
       if (n > 0) a.neighborhoods = n;
-    } else if (std::strcmp(argv[i], "--net-model") == 0) {
-      if (i + 1 >= argc) reject("needs a value: global, incremental or analytical");
-      const char* m = argv[++i];
-      if (!net_model_applies) {
-        reject(std::string(m) + ": this bench runs the global model only");
-      } else if (std::strcmp(m, "global") == 0) {
-        a.net_model = net::NetModel::global;
-      } else if (std::strcmp(m, "incremental") == 0) {
-        a.net_model = net::NetModel::incremental;
-      } else if (std::strcmp(m, "analytical") == 0) {
-        a.net_model = net::NetModel::analytical;
-      } else {
-        reject(std::string(m) + ": unknown model; expected global, incremental or analytical");
-      }
+    } else {
+      reject(arg, "unknown argument; expected --quick, --seed N, --nodes N or --neighborhoods N");
     }
   }
   return a;
-}
-
-inline const char* net_model_name(net::NetModel m) {
-  switch (m) {
-    case net::NetModel::global: return "global";
-    case net::NetModel::incremental: return "incremental";
-    case net::NetModel::analytical: return "analytical";
-  }
-  return "?";
 }
 
 /// Host-side cost timer for scaling tables — the one sanctioned wall-clock

@@ -116,14 +116,15 @@ void striped_transfers(obs::BenchReport& report, bool quick) {
 }
 
 // Core-engine scaling — ROADMAP item 1: drives the raw Simulation/Network
-// fast path (slab event arena + incremental fair-share) far past overlay
-// scale, where the full HomeCloud stack (O(n²) overlay joins) cannot go.
+// engine (slab event arena + one network timer + max-min solve over loaded
+// links) far past overlay scale, where the full HomeCloud stack (O(n²)
+// overlay joins) cannot go.
 //
 // Topology is a two-level star: `kFan` leafs per edge switch, switches on a
 // metro gateway, gateway on the cloud. Every leaf makes one intra-switch
-// transfer to its ring neighbor (small, disjoint fair-share components) and
-// every 16th leaf also pushes an object up the shared cloud path (one wide
-// component over the gateway trunk); starts are staggered so a bounded set
+// transfer to its ring neighbor (small flows on disjoint links) and every
+// 16th leaf also pushes an object up the shared cloud path (many flows
+// sharing the gateway trunk); starts are staggered so a bounded set
 // of flows is in flight at any instant, like a real evening of @home traffic.
 //
 // The flows/events/bytes/makespan series are simulated and byte-stable for
@@ -133,8 +134,7 @@ void striped_transfers(obs::BenchReport& report, bool quick) {
 void core_engine_scaling(obs::BenchReport& report, const bench::BenchArgs& args) {
   bench::header("Scaling — simulator core, raw engine to 10k nodes",
                 "ROADMAP item 1 (engine fast path)");
-  std::printf("net model: %s   (wall/rss are host-side, advisory)\n",
-              bench::net_model_name(args.net_model));
+  std::printf("(wall/rss are host-side, advisory)\n");
   std::printf("%8s | %9s %10s | %12s | %10s %9s %9s\n", "nodes", "flows", "events",
               "makespan(s)", "wall (ms)", "us/event", "rss (MB)");
   bench::row_line();
@@ -162,7 +162,6 @@ void core_engine_scaling(obs::BenchReport& report, const bench::BenchArgs& args)
                       mib_per_sec(11.9), microseconds(200));
     }
     net::Network net{sim, std::move(topo)};
-    net.set_model(args.net_model);
 
     bench::WallTimer wt;
     const auto staggered = [](sim::Simulation& sm, net::Network& nw, net::NetNodeId a,
@@ -216,12 +215,7 @@ void core_engine_scaling(obs::BenchReport& report, const bench::BenchArgs& args)
 }  // namespace c4h
 
 int main(int argc, char** argv) {
-  c4h::bench::BenchArgs defaults;
-  // The core sweep exists to exercise the fast path; the overlay/striped
-  // sections never admit flows through `args.net_model`, so this default
-  // does not perturb their (golden) series.
-  defaults.net_model = c4h::net::NetModel::incremental;
-  const auto args = c4h::bench::parse_args(argc, argv, defaults, /*net_model_applies=*/true);
+  const auto args = c4h::bench::parse_args(argc, argv);
   c4h::obs::BenchReport report("scaling_study", args.seed);
   c4h::overlay_scaling(report, args.quick);
   c4h::striped_transfers(report, args.quick);

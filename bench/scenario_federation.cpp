@@ -28,7 +28,7 @@ workload::WorkloadSpec make_spec(const bench::BenchArgs& args, int tenant_count)
 
   for (int t = 0; t < tenant_count; ++t) {
     workload::TenantSpec ts;
-    ts.name = "t" + std::to_string(t);
+    ts.name = std::string("t") + std::to_string(t);
     ts.principal = {ts.name, vstore::TrustLevel::trusted};
     // Fetch-heavy, with the occasional re-store (which republishes).
     ts.mix = {0.2, 0.8, 0.0, 0.0};
@@ -38,8 +38,8 @@ workload::WorkloadSpec make_spec(const bench::BenchArgs& args, int tenant_count)
     // Tenant homes interleave across neighborhoods (City::all_homes), so
     // the next two tenants live in other neighborhoods: most fetch traffic
     // is cross-neighborhood by construction.
-    ts.fetch_from = {"t" + std::to_string((t + 1) % tenant_count),
-                     "t" + std::to_string((t + 2) % tenant_count)};
+    ts.fetch_from = {std::string("t") + std::to_string((t + 1) % tenant_count),
+                     std::string("t") + std::to_string((t + 2) % tenant_count)};
     ts.arrival.rate_per_sec = args.quick ? 2.0 : 4.0;
     spec.tenants.push_back(ts);
   }
@@ -70,7 +70,7 @@ void run(const bench::BenchArgs& args) {
       hc.netbooks = a.nodes - 1;
       hc.with_desktop = true;
       hc.seed = a.seed + static_cast<std::uint64_t>(h * kHomesPerHood + i);
-      hc.home_name = "h" + std::to_string(h) + "-" + std::to_string(i);
+      hc.home_name = std::string("h") + std::to_string(h) + "-" + std::to_string(i);
       hc.kv.replication = 2;
       hc.start_monitors = false;
       homes.push_back(std::make_unique<vstore::HomeCloud>(*hoods.back(), hc));

@@ -54,7 +54,10 @@ class Writer {
 
   void write(std::string_view s) {
     write(static_cast<std::uint32_t>(s.size()));
-    buf_.insert(buf_.end(), s.begin(), s.end());
+    // Byte pointers, not char iterators: GCC 12 at -O3 misreads the char
+    // range copy as an out-of-bounds write (-Wstringop-overflow).
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(s.data());
+    buf_.insert(buf_.end(), bytes, bytes + s.size());
   }
   void write(const std::string& s) { write(std::string_view{s}); }
   void write(const char* s) { write(std::string_view{s}); }

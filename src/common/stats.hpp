@@ -100,43 +100,4 @@ class Samples {
   bool sorted_ = true;
 };
 
-/// Fixed-width linear histogram.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets)
-      : lo_(lo), hi_(hi), counts_(buckets, 0) {
-    assert(hi > lo && buckets > 0);
-  }
-
-  void add(double x) {
-    ++total_;
-    if (x < lo_) {
-      ++underflow_;
-      return;
-    }
-    if (x >= hi_) {
-      ++overflow_;
-      return;
-    }
-    const auto i = static_cast<std::size_t>((x - lo_) / (hi_ - lo_) *
-                                            static_cast<double>(counts_.size()));
-    ++counts_[std::min(i, counts_.size() - 1)];
-  }
-
-  std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-  std::size_t buckets() const { return counts_.size(); }
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
-  std::uint64_t total() const { return total_; }
-
-  double bucket_low(std::size_t i) const {
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-  }
-
- private:
-  double lo_, hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
-};
-
 }  // namespace c4h

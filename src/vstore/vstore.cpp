@@ -438,11 +438,6 @@ vmm::Domain& site_domain(HomeCloud& hc, const ExecSite& site) {
   return hc.node_by_key(site.node)->app_domain();
 }
 
-double site_load(HomeCloud& hc, const ExecSite& site) {
-  if (site.kind == ExecSite::Kind::ec2) return hc.ec2().host().cpu_utilization();
-  return hc.node_by_key(site.node)->host().cpu_utilization();
-}
-
 }  // namespace
 
 sim::Task<Result<ProcessOutcome>> VStoreNode::process(const std::string& name,

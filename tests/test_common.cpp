@@ -282,20 +282,6 @@ TEST(Stats, SamplesPercentiles) {
   EXPECT_NEAR(s.percentile(95), 95.05, 0.2);
 }
 
-TEST(Stats, HistogramBuckets) {
-  Histogram h{0.0, 10.0, 10};
-  h.add(-1);
-  h.add(0.5);
-  h.add(9.99);
-  h.add(10.0);
-  h.add(100.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(9), 1u);
-  EXPECT_EQ(h.total(), 5u);
-}
-
 // --- Units ---
 
 TEST(Units, Conversions) {

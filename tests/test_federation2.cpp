@@ -38,7 +38,7 @@ struct CityRig {
       hoods.push_back(std::make_unique<Neighborhood>(city, nc));
       for (int i = 0; i < kHomesPerHood; ++i) {
         HomeCloudConfig cfg;
-        cfg.home_name = "h" + std::to_string(h) + "-" + std::to_string(i);
+        cfg.home_name = std::string("h") + std::to_string(h) + "-" + std::to_string(i);
         cfg.netbooks = 2;
         cfg.start_monitors = false;
         cfg.wan_rate_jitter = 0.0;

@@ -52,7 +52,9 @@ TEST(ObjectFs, RemoveDuringTransferDoesNotDisturbInFlightRead) {
     }(fs));
     auto r = co_await fs.read("victim.bin");
     EXPECT_TRUE(r.ok());
-    if (r.ok()) EXPECT_EQ(*r, 4_MB);
+    if (r.ok()) {
+      EXPECT_EQ(*r, 4_MB);
+    }
     EXPECT_FALSE(fs.contains("victim.bin"));
   });
 }
@@ -171,7 +173,7 @@ TEST(ObjectFs, WatcherValuesFeedTheMonitor) {
   run(sim, [&]() -> Task<> {
     std::unordered_map<std::string, std::pair<Bytes, Bin>> ref;
     for (int i = 0; i < 200; ++i) {
-      const std::string name = "f" + std::to_string(rng.below(30));
+      const std::string name = std::string("f") + std::to_string(rng.below(30));
       if (rng.chance(0.7)) {
         const Bytes size = (1 + rng.below(5)) * 1_MB;
         const Bin bin = rng.chance(0.5) ? Bin::mandatory : Bin::voluntary;
