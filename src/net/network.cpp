@@ -30,9 +30,8 @@ sim::Task<> Network::transfer(NetNodeId src, NetNodeId dst, Bytes size, TcpProfi
     co_return;
   }
 
-  const auto& path = topo_.route(src, dst);
   sim::Event done{sim_};
-  add_flow(path, size, profile, [&done] { done.fire(); });
+  add_flow(topo_.route(src, dst), size, profile, [&done] { done.fire(); });
   co_await done.wait();
   ++stats_.flows_completed;
   stats_.bytes_delivered += static_cast<double>(size);
@@ -109,8 +108,10 @@ void Network::set_metrics(obs::Registry* registry) {
 
 Duration Network::sample_message_latency(NetNodeId src, NetNodeId dst, Bytes size) {
   if (src == dst) return hop_processing_;
+  path_buf_.clear();
+  topo_.append_route(src, dst, path_buf_);
   Duration lat{};
-  for (const LinkId lid : topo_.route(src, dst)) {
+  for (const LinkId lid : path_buf_) {
     const Link& l = topo_.link(lid);
     double mult = 1.0;
     if (l.latency_jitter > 0) {
@@ -165,10 +166,10 @@ Duration Network::time_to_event(const Flow& f) const {
   return from_seconds(std::max(bytes_to_event, 0.0) / f.rate);
 }
 
-void Network::add_flow(const std::vector<LinkId>& links, Bytes size, TcpProfile profile,
+void Network::add_flow(std::vector<LinkId> links, Bytes size, TcpProfile profile,
                        std::function<void()> on_complete) {
   Flow f;
-  f.links = links;
+  f.links = std::move(links);
   f.total = static_cast<double>(size);
   f.profile = profile;
   f.on_complete = std::move(on_complete);
@@ -178,7 +179,7 @@ void Network::add_flow(const std::vector<LinkId>& links, Bytes size, TcpProfile 
   // actually experiences (the paper's uplink: ~1.5 Mbps average, bursts to
   // several times that).
   double sigma = 0;
-  for (const LinkId lid : links) {
+  for (const LinkId lid : f.links) {
     sigma = std::max(sigma, topo_.link(lid).rate_jitter);
   }
   if (sigma > 0) f.jitter_mult = std::clamp(rng_.lognormal_mean(1.0, sigma), 0.25, 3.0);

@@ -112,7 +112,7 @@ class Network {
     std::function<void()> on_complete;
   };
 
-  void add_flow(const std::vector<LinkId>& links, Bytes size, TcpProfile profile,
+  void add_flow(std::vector<LinkId> links, Bytes size, TcpProfile profile,
                 std::function<void()> on_complete);
   void advance_progress();
   void recompute();
@@ -123,6 +123,7 @@ class Network {
   Topology topo_;
   Rng rng_;
   Duration hop_processing_ = microseconds(100);
+  std::vector<LinkId> path_buf_;  // sample_message_latency's route, reused per call
   std::uint64_t next_flow_id_ = 1;
   // Ordered by id (= admission order), not hashed: recompute() iterates this
   // table to build the max-min solver's inputs and link_load() sums it, and

@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <limits>
 #include <queue>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -39,17 +41,26 @@ struct Link {
 
 /// Static topology with memoized lowest-latency routes.
 ///
-/// Routes are resolved lazily, one (src, dst) pair at a time, with an
-/// early-exit Dijkstra. The previous implementation built the full
-/// all-pairs table on the first route() call — O(n²) paths of memory and
-/// O(n · E log n) time — which is prohibitive at the 10k-node scale the
-/// core scaling study drives; a star-ish topology only ever pays for the
-/// pairs that actually communicate. Resolved paths are byte-identical to
-/// the old table's (same relaxation rule, same tie-breaking heap order).
+/// Routes are resolved lazily, one query at a time. Every host in the
+/// modelled networks hangs off its switch by one duplex link, so a query is
+/// first reduced to its *core pair*: while the source has exactly one
+/// out-link (not a self-loop) that link is emitted and the source moves to
+/// its head; while the destination has exactly one in-link (not a
+/// self-loop) that link is kept for the tail and the destination moves to
+/// its tail node. Only the core pair (switch↔switch, switch↔core,
+/// core↔cloud) is searched, with an early-exit Dijkstra, and memoized; two
+/// hosts on one switch need no search at all. The memo therefore holds one
+/// entry per communicating core pair, not one per host pair.
+///
+/// The reduced routes are exactly the per-pair Dijkstra's: a node with a
+/// single out-link settles its only neighbour first, and a node with a
+/// single in-link is reached only through that link; the (distance, node)
+/// tie-break and integer latencies are unchanged (DESIGN §13).
 class Topology {
  public:
   NetNodeId add_node() {
     adjacency_.emplace_back();
+    sole_in_.push_back(kNoLink);
     routes_dirty_ = true;
     return NetNodeId{static_cast<std::uint32_t>(adjacency_.size() - 1)};
   }
@@ -61,6 +72,7 @@ class Topology {
     const auto id = static_cast<LinkId>(links_.size());
     links_.push_back(Link{from, to, capacity, latency, latency_jitter, rate_jitter});
     adjacency_[from.v].push_back(id);
+    sole_in_[to.v] = sole_in_[to.v] == kNoLink ? id : kManyLinks;
     routes_dirty_ = true;
     return id;
   }
@@ -81,15 +93,27 @@ class Topology {
   /// based and unaffected; flow rates must be re-solved by the caller.
   void set_link_capacity(LinkId id, Rate capacity) { links_.at(id).capacity = capacity; }
 
-  /// Lowest-latency path (sequence of link ids) from `src` to `dst`.
-  /// Empty for src == dst; asserts a route exists otherwise.
-  const std::vector<LinkId>& route(NetNodeId src, NetNodeId dst) const {
-    const std::vector<LinkId>* p = find_route(src, dst);
-    assert(p != nullptr && "no route between nodes");
-    return *p;
+  /// Appends the lowest-latency path (sequence of link ids) from `src` to
+  /// `dst` to `out`; appends nothing for src == dst. Throws
+  /// std::out_of_range, naming the pair, when no route exists.
+  void append_route(NetNodeId src, NetNodeId dst, std::vector<LinkId>& out) const {
+    if (!try_append_route(src.v, dst.v, out)) {
+      throw std::out_of_range("Topology: no route from node " + std::to_string(src.v) +
+                              " to node " + std::to_string(dst.v));
+    }
   }
 
-  bool has_route(NetNodeId src, NetNodeId dst) const { return find_route(src, dst) != nullptr; }
+  /// The lowest-latency path from `src` to `dst`; see append_route().
+  std::vector<LinkId> route(NetNodeId src, NetNodeId dst) const {
+    std::vector<LinkId> out;
+    append_route(src, dst, out);
+    return out;
+  }
+
+  bool has_route(NetNodeId src, NetNodeId dst) const {
+    std::vector<LinkId> out;
+    return try_append_route(src.v, dst.v, out);
+  }
 
   /// Sum of link propagation latencies along the path.
   Duration path_latency(NetNodeId src, NetNodeId dst) const {
@@ -99,17 +123,67 @@ class Topology {
   }
 
  private:
-  const std::vector<LinkId>* find_route(NetNodeId src, NetNodeId dst) const {
+  // sole_in_ markers: a node with no in-link, or with more than one.
+  static constexpr LinkId kNoLink = UINT32_MAX;
+  static constexpr LinkId kManyLinks = UINT32_MAX - 1;
+
+  // A node's only out-link / in-link, if it has exactly one that is not a
+  // self-loop.
+  bool single_out(std::uint32_t v, LinkId& lid) const {
+    if (adjacency_[v].size() != 1) return false;
+    lid = adjacency_[v].front();
+    return links_[lid].to.v != v;
+  }
+  bool single_in(std::uint32_t v, LinkId& lid) const {
+    lid = sole_in_[v];
+    return lid < kManyLinks && links_[lid].from.v != v;
+  }
+
+  // Strips the single-link chains off both ends, then appends head chain +
+  // memoized core path + tail chain; appends nothing when there is no route.
+  // A route has fewer links than there are nodes, so stripping that many
+  // hops means walking a cycle of one-link nodes that never meets the other
+  // end: no route.
+  bool try_append_route(std::uint32_t s, std::uint32_t t, std::vector<LinkId>& out) const {
+    const std::size_t n = adjacency_.size();
+    std::size_t hops = 0;
+    LinkId lid = kNoLink;
+    std::uint32_t core_s = s;
+    for (; core_s != t && hops < n && single_out(core_s, lid); ++hops) {
+      core_s = links_[lid].to.v;
+    }
+    std::uint32_t core_t = t;
+    for (; core_t != core_s && hops < n && single_in(core_t, lid); ++hops) {
+      core_t = links_[lid].from.v;
+    }
+    if (hops == n) return false;
+    const std::vector<LinkId>* core = nullptr;
+    if (core_s != core_t && (core = find_core_route(core_s, core_t)) == nullptr) return false;
+
+    out.reserve(out.size() + hops + (core != nullptr ? core->size() : 0));
+    for (std::uint32_t v = s; v != core_s && single_out(v, lid); v = links_[lid].to.v) {
+      out.push_back(lid);
+    }
+    if (core != nullptr) out.insert(out.end(), core->begin(), core->end());
+    const auto tail = static_cast<std::ptrdiff_t>(out.size());
+    for (std::uint32_t v = t; v != core_t && single_in(v, lid); v = links_[lid].from.v) {
+      out.push_back(lid);
+    }
+    std::reverse(out.begin() + tail, out.end());
+    return true;
+  }
+
+  const std::vector<LinkId>* find_core_route(std::uint32_t s, std::uint32_t t) const {
     if (routes_dirty_) {
       routes_.clear();
       no_route_.clear();
       routes_dirty_ = false;
     }
-    const auto key = (std::uint64_t{src.v} << 32) | dst.v;
+    const auto key = (std::uint64_t{s} << 32) | t;
     if (const auto it = routes_.find(key); it != routes_.end()) return &it->second;
     if (no_route_.contains(key)) return nullptr;
     std::vector<LinkId> path;
-    if (!shortest_path(src.v, dst.v, path)) {
+    if (!shortest_path(s, t, path)) {
       no_route_.insert(key);
       return nullptr;
     }
@@ -117,10 +191,9 @@ class Topology {
   }
 
   // Early-exit Dijkstra over latency from `s`, stopping once `t` settles.
-  // Strict-< relaxation with a (distance, node-id) min-heap: exactly the
-  // old full-table build, so the memoized path for a pair is the path the
-  // eager version would have produced. A popped node is final, which makes
-  // breaking at `t` safe.
+  // Strict-< relaxation with a (distance, node-id) min-heap: the tie-break
+  // every route in the simulator has always used. A popped node is final,
+  // which makes breaking at `t` safe.
   bool shortest_path(std::uint32_t s, std::uint32_t t, std::vector<LinkId>& out) const {
     const auto n = adjacency_.size();
     if (++epoch_ == 0) {  // stamp wrap: invalidate every slot the hard way
@@ -172,6 +245,8 @@ class Topology {
 
   std::vector<Link> links_;
   std::vector<std::vector<LinkId>> adjacency_;
+  std::vector<LinkId> sole_in_;  // per node: its only in-link, kNoLink or kManyLinks
+  // Core-pair memo: (core src << 32 | core dst) → path, or no route.
   mutable std::unordered_map<std::uint64_t, std::vector<LinkId>> routes_;
   mutable std::unordered_set<std::uint64_t> no_route_;
   mutable bool routes_dirty_ = false;

@@ -4,15 +4,23 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <optional>
+#include <queue>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "src/common/rng.hpp"
 #include "src/common/stats.hpp"
+#include "src/federation/neighborhood.hpp"
 #include "src/net/fairshare.hpp"
 #include "src/net/network.hpp"
 #include "src/net/tcp_model.hpp"
 #include "src/net/topology.hpp"
 #include "src/sim/simulation.hpp"
 #include "src/sim/sync.hpp"
+#include "src/vstore/home_cloud.hpp"
 
 namespace c4h::net {
 namespace {
@@ -55,6 +63,210 @@ TEST(Topology, NoRouteDetected) {
   const auto b = t.add_node();
   EXPECT_FALSE(t.has_route(a, b));
   EXPECT_TRUE(t.has_route(a, a));
+}
+
+TEST(Topology, UnreachableRouteThrowsNamingThePair) {
+  Topology t;
+  const auto a = t.add_node();
+  const auto b = t.add_node();
+  const auto c = t.add_node();
+  t.add_link(a, b, mbps(100), milliseconds(1));  // b is a dead end: nothing leaves it
+  EXPECT_EQ(t.route(a, b).size(), 1u);
+  try {
+    const auto path = t.route(b, c);
+    FAIL() << "route() returned " << path.size() << " links for an unreachable pair";
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string(e.what()).find("from node 1 to node 2"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(t.path_latency(a, c), std::out_of_range);
+  std::vector<LinkId> out{7};
+  EXPECT_THROW(t.append_route(c, a, out), std::out_of_range);
+  EXPECT_EQ(out, std::vector<LinkId>{7});  // a failed query appends nothing
+}
+
+// Out-links per node in id order: the order Topology relaxes them in.
+std::vector<std::vector<LinkId>> out_links(const Topology& t) {
+  std::vector<std::vector<LinkId>> out(t.node_count());
+  for (LinkId l = 0; l < t.link_count(); ++l) out[t.link(l).from.v].push_back(l);
+  return out;
+}
+
+// The per-pair search every route used to be: early-exit Dijkstra with
+// strict-< relaxation and a (distance, node) min-heap. No memo and no
+// reduction, so it is the oracle for both.
+std::optional<std::vector<LinkId>> oracle_route(const Topology& t,
+                                                const std::vector<std::vector<LinkId>>& out,
+                                                std::uint32_t s, std::uint32_t d) {
+  const std::size_t n = t.node_count();
+  std::vector<Duration> dist(n, Duration::max());
+  std::vector<LinkId> via(n, 0);
+  using QE = std::pair<Duration, std::uint32_t>;
+  std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
+  dist[s] = Duration::zero();
+  pq.push({Duration::zero(), s});
+  while (!pq.empty()) {
+    const auto [du, u] = pq.top();
+    pq.pop();
+    if (du > dist[u]) continue;
+    if (u == d) {
+      std::vector<LinkId> path;
+      for (std::uint32_t cur = d; cur != s; cur = t.link(via[cur]).from.v) path.push_back(via[cur]);
+      return std::vector<LinkId>(path.rbegin(), path.rend());
+    }
+    for (const LinkId l : out[u]) {
+      const std::uint32_t v = t.link(l).to.v;
+      if (du + t.link(l).latency < dist[v]) {
+        dist[v] = du + t.link(l).latency;
+        via[v] = l;
+        pq.push({dist[v], v});
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+// Grows `t` by one round of the shapes the reduction must get right: a
+// random core with one-way and parallel links, chains of degree-1 leaves
+// hung off any existing node, a one-link node whose only out-link (and one
+// whose only in-link) is a self-loop, a node with no in-links, a cycle of
+// one-out-link nodes, and an isolated node. Latencies of 0-3 ms make
+// equal-latency ties common.
+void grow_random(Topology& t, Rng& rng) {
+  const auto lat = [&rng] { return milliseconds(static_cast<std::int64_t>(rng.below(4))); };
+  const auto any = [&t, &rng] {
+    return NetNodeId{static_cast<std::uint32_t>(rng.below(t.node_count()))};
+  };
+  const Rate cap = mbps(100);
+  std::vector<NetNodeId> core;
+  for (std::uint64_t i = 0, k = 2 + rng.below(6); i < k; ++i) core.push_back(t.add_node());
+  const auto pick = [&core, &rng] { return core[rng.below(core.size())]; };
+  for (std::uint64_t i = 0, k = 1 + rng.below(3 * core.size()); i < k; ++i) {
+    const NetNodeId a = pick();
+    const NetNodeId b = pick();
+    if (rng.below(3) == 0) {
+      t.add_link(a, b, cap, lat());
+    } else {
+      t.add_duplex(a, b, cap, lat());
+    }
+    if (rng.below(4) == 0) t.add_link(a, b, cap, lat());  // parallel link
+  }
+  for (std::uint64_t i = 0, k = rng.below(6); i < k; ++i) {
+    NetNodeId parent = any();
+    do {  // a chain of leaves, each hanging off the previous one
+      const NetNodeId leaf = t.add_node();
+      switch (rng.below(4)) {
+        case 0: t.add_link(leaf, parent, cap, lat()); break;  // one-way up
+        case 1: t.add_link(parent, leaf, cap, lat()); break;  // one-way down
+        default: t.add_duplex(leaf, parent, cap, lat()); break;
+      }
+      parent = leaf;
+    } while (rng.below(2) == 0);
+  }
+  const NetNodeId loop_out = t.add_node();  // only out-link is a self-loop
+  t.add_link(loop_out, loop_out, cap, lat());
+  t.add_link(any(), loop_out, cap, lat());
+  const NetNodeId loop_in = t.add_node();  // only in-link is a self-loop
+  t.add_link(loop_in, loop_in, cap, lat());
+  t.add_link(loop_in, any(), cap, lat());
+  t.add_link(t.add_node(), any(), cap, lat());  // no in-links
+  const NetNodeId c0 = t.add_node();            // one-out-link cycle c0→c1→c0
+  const NetNodeId c1 = t.add_node();
+  t.add_link(c0, c1, cap, lat());
+  t.add_link(c1, c0, cap, lat());
+  t.add_link(any(), c0, cap, lat());
+  t.add_node();  // isolated
+}
+
+void expect_routes_match_oracle(const Topology& t, std::uint64_t seed) {
+  const auto out = out_links(t);
+  const auto n = static_cast<std::uint32_t>(t.node_count());
+  for (std::uint32_t s = 0; s < n; ++s) {
+    for (std::uint32_t d = 0; d < n; ++d) {
+      const auto want = oracle_route(t, out, s, d);
+      const NetNodeId a{s};
+      const NetNodeId b{d};
+      ASSERT_EQ(t.has_route(a, b), want.has_value()) << "seed " << seed << " " << s << "->" << d;
+      if (want) {
+        ASSERT_EQ(t.route(a, b), *want) << "seed " << seed << " " << s << "->" << d;
+      } else {
+        ASSERT_THROW(t.route(a, b), std::out_of_range) << "seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(TopologyProperty, ReducedRoutesMatchPerPairDijkstra) {
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    Rng rng{seed};
+    Topology t;
+    grow_random(t, rng);
+    expect_routes_match_oracle(t, seed);
+    // Grow after routes were memoized: first links alone, which give nodes
+    // a second out- or in-link and open shortcuts, then a second round of
+    // nodes and shapes.
+    for (std::uint64_t i = 0, k = 1 + rng.below(4); i < k; ++i) {
+      const auto n = t.node_count();
+      t.add_link(NetNodeId{static_cast<std::uint32_t>(rng.below(n))},
+                 NetNodeId{static_cast<std::uint32_t>(rng.below(n))}, mbps(100),
+                 milliseconds(static_cast<std::int64_t>(rng.below(4))));
+    }
+    expect_routes_match_oracle(t, seed);
+    grow_random(t, rng);
+    expect_routes_match_oracle(t, seed);
+  }
+}
+
+// FNV-1a over every ordered pair's route (or its absence).
+std::uint64_t all_pairs_route_digest(const Topology& t) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  };
+  mix(t.node_count());
+  mix(t.link_count());
+  const auto n = static_cast<std::uint32_t>(t.node_count());
+  for (std::uint32_t s = 0; s < n; ++s) {
+    for (std::uint32_t d = 0; d < n; ++d) {
+      if (!t.has_route(NetNodeId{s}, NetNodeId{d})) {
+        mix(UINT64_MAX);
+        continue;
+      }
+      const auto path = t.route(NetNodeId{s}, NetNodeId{d});
+      mix(path.size());
+      for (const LinkId l : path) mix(l);
+    }
+  }
+  return h;
+}
+
+// Digests recorded with the per-pair Dijkstra the reduced routes replaced:
+// every route in a small City and in the paper home is unchanged.
+TEST(TopologyPinned, CityAndHomeRoutesAreUnchanged) {
+  vstore::City city{{.seed = 7, .spines = 2}};
+  std::vector<std::unique_ptr<vstore::Neighborhood>> hoods;
+  std::vector<std::unique_ptr<vstore::HomeCloud>> homes;
+  for (int h = 0; h < 3; ++h) {
+    vstore::NeighborhoodConfig nc;
+    nc.name = "hood-" + std::to_string(h);
+    nc.spine_latency = milliseconds(1 + 3 * h);
+    hoods.push_back(std::make_unique<vstore::Neighborhood>(city, nc));
+    for (int i = 0; i < 2; ++i) {
+      vstore::HomeCloudConfig cfg;
+      cfg.home_name = "h" + std::to_string(h) + "-" + std::to_string(i);
+      cfg.netbooks = 2;
+      homes.push_back(std::make_unique<vstore::HomeCloud>(*hoods.back(), cfg));
+    }
+  }
+  const Topology& ct = city.network().topology();
+  EXPECT_EQ(ct.node_count(), 3u + 3u * (1u + 2u * 5u));
+  EXPECT_EQ(all_pairs_route_digest(ct), 0x3dd1d1f2bcbf4231ull);
+
+  vstore::HomeCloud home;
+  home.bootstrap();
+  const Topology& ht = home.network().topology();
+  EXPECT_EQ(ht.node_count(), 9u);
+  EXPECT_EQ(all_pairs_route_digest(ht), 0xf7b8e31452cf110cull);
 }
 
 // --- Fair-share solver ---
