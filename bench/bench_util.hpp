@@ -78,7 +78,7 @@ class WallTimer {
   }
 
  private:
-  // c4h-lint: allow(R2) — host-cost measurement only; never feeds simulated
+  // c4h-analyze: allow(R2) — host-cost measurement only; never feeds simulated
   // state, and the emitted series carry "-wall" units that bench-compare
   // excludes from deterministic comparison.
   using Clock = std::chrono::steady_clock;

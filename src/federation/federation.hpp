@@ -72,7 +72,7 @@ class Federation {
 
   vstore::Neighborhood& hood_;
   // Ordered so directory sweeps (repair/placement in the geo tier share the
-  // idiom) stay deterministic under c4h-lint R3.
+  // idiom) stay deterministic under c4h-analyze R3.
   std::map<std::string, DirEntry> directory_;
   FederationStats stats_;
 };

@@ -128,7 +128,7 @@ class Network {
   // Ordered by id (= admission order), not hashed: recompute() iterates this
   // table to build the max-min solver's inputs and link_load() sums it, and
   // floating-point summation order must not depend on hash-table layout —
-  // determinism rule R3 (tools/c4h-lint).
+  // determinism rule R3 (tools/c4h-analyze).
   std::map<std::uint64_t, Flow> flows_;
   // One network-wide timer armed at the earliest completion or TCP phase
   // boundary over all flows.

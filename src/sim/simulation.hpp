@@ -47,7 +47,7 @@ class Simulation {
   ~Simulation() {
     // Destroy still-suspended detached coroutines so their frames (and any
     // RAII state inside) are released.
-    // c4h-lint: allow(R3) — teardown only; destruction order is unobservable.
+    // c4h-analyze: allow(R3) — teardown only; destruction order is unobservable.
     for (void* frame : detached_) {
       std::coroutine_handle<>::from_address(frame).destroy();
     }

@@ -155,7 +155,7 @@ class Host {
   std::uint64_t next_job_id_ = 1;
   // Ordered by id (= submission order), not hashed: recompute() iterates this
   // table into the fair-share solver and cpu_utilization() sums rates, so
-  // iteration order must be seed-stable — determinism rule R3 (tools/c4h-lint).
+  // iteration order must be seed-stable — determinism rule R3 (tools/c4h-analyze).
   std::map<std::uint64_t, Job> jobs_;
   std::uint64_t jobs_completed_ = 0;
 

@@ -1,4 +1,4 @@
-// c4h-analyze lexer — the token layer under the dataflow analyzer.
+// c4h-analyze lexer — the token layer under every rule.
 //
 // Produces a flat token stream per file with comments, preprocessor
 // directives, and literals stripped (string/char literals are kept as
@@ -7,12 +7,10 @@
 // `// c4h-analyze: allow(A3)` are recorded while lexing: on a line with
 // code they cover that line; on a comment-only line they cover the next
 // line that holds code, so a multi-line justification above a statement
-// still attaches to it.
+// still attaches to it. One tag serves every rule: `allow(R3,D3)`.
 //
-// Shares the philosophy (and the battle-tested literal/comment state
-// machine) of tools/c4h-lint, but emits a richer stream: string tokens,
-// `&&`/`->`/`::` kept whole, and per-file allow maps keyed for the
-// analyzer's rule ids (A1..A4, D1..D3) instead of the linter's R1..R5.
+// Two-character operators kept whole: `::` `->` `&&` `||` `==` `!=` `<=`
+// `>=` `+=` `-=` `<<`. `>>` is not among them (see tokenize()).
 #pragma once
 
 #include <map>

@@ -1,11 +1,18 @@
-// c4h-analyze — coroutine-lifetime & determinism dataflow analyzer.
+// c4h-analyze — the project's static analyzer: token-level determinism and
+// coroutine-safety bans (R1–R5), coroutine lifetime (A1–A4), and
+// determinism dataflow (D1–D3). See rules.hpp for the rule list.
 //
 // Usage:
-//   c4h-analyze [--rules=A1,D1,...] [--baseline=FILE] [--write-baseline=FILE]
+//   c4h-analyze [--rules=R1,A1,D1,...] [--baseline=FILE] [--write-baseline=FILE]
 //               [--exclude=SUBSTR]... <file-or-dir>...
 //
+// Directories are walked recursively for *.cpp/*.hpp/*.h/*.cc, skipping
+// analyze_fixtures, build*, and .git; explicit file arguments are always
+// analyzed. Suppress a finding with `// c4h-analyze: allow(R3,D3)` on its line
+// or on a comment-only line above it.
+//
 // Exit codes: 0 clean (or fully baselined/suppressed), 1 new findings,
-// 2 usage or IO error.
+// 2 usage or IO error (including an unknown or empty --rules id).
 //
 // The baseline is a JSON document (c4h-analyze-baseline-v1) keyed on
 // (file, rule, function) — line numbers are deliberately absent so ordinary
@@ -31,8 +38,7 @@ using namespace c4h::analyze;
 namespace {
 
 bool skip_dir(const std::string& name) {
-  return name == ".git" || name == "lint_fixtures" || name == "analyze_fixtures" ||
-         name.rfind("build", 0) == 0;
+  return name == ".git" || name == "analyze_fixtures" || name.rfind("build", 0) == 0;
 }
 
 bool source_file(const fs::path& p) {
@@ -158,7 +164,7 @@ bool write_baseline(const std::string& path, const std::vector<Finding>& finding
 
 int usage() {
   std::fprintf(stderr,
-               "usage: c4h-analyze [--rules=A1,..] [--baseline=FILE] "
+               "usage: c4h-analyze [--rules=R1,A1,D1,..] [--baseline=FILE] "
                "[--write-baseline=FILE] [--exclude=SUBSTR]... <paths>...\n");
   return 2;
 }
@@ -168,7 +174,7 @@ int usage() {
 int main(int argc, char** argv) {
   std::vector<std::string> inputs, excludes;
   std::string baseline_path, write_baseline_path;
-  std::set<std::string> enabled = {"A1", "A2", "A3", "A4", "D1", "D2", "D3"};
+  std::set<std::string> enabled = all_rules();
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -177,7 +183,15 @@ int main(int argc, char** argv) {
       std::stringstream list(arg.substr(8));
       std::string r;
       while (std::getline(list, r, ',')) {
-        if (!r.empty()) enabled.insert(r);
+        if (all_rules().count(r) == 0) {
+          std::fprintf(stderr, "c4h-analyze: unknown rule id '%s'\n", r.c_str());
+          return usage();
+        }
+        enabled.insert(r);
+      }
+      if (enabled.empty()) {
+        std::fprintf(stderr, "c4h-analyze: --rules= names no rule\n");
+        return usage();
       }
     } else if (arg.rfind("--baseline=", 0) == 0) {
       baseline_path = arg.substr(11);

@@ -518,7 +518,219 @@ void rule_d3(const FileModel& m, const Function& fn, const SymbolIndex& index,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Family R — token-level bans, scanned over the whole file
+// ---------------------------------------------------------------------------
+
+// Qualified name of the function whose body holds token `tok` ("" at file
+// scope), so R findings key into the baseline like the other families.
+std::string enclosing_fn(const FileModel& m, std::size_t tok) {
+  for (const Function& fn : m.fns) {
+    if (fn.has_body && tok > fn.body_begin && tok < fn.body_end) return fn.qual;
+  }
+  return "";
+}
+
+void report(const FileModel& m, std::size_t tok, const char* rule, std::string msg,
+            std::vector<Finding>& out) {
+  const int line = m.file->toks[tok].line;
+  if (allowed(*m.file, line, rule)) return;
+  out.push_back({m.file->path, line, rule, enclosing_fn(m, tok), std::move(msg)});
+}
+
+// R1 — co_await of a temporary (a call expression) inside a loop header or
+// next to an operator. GCC 12 has miscompiled exactly this shape.
+void rule_r1(const FileModel& m, std::vector<Finding>& out) {
+  // "<<" lexes as one token; it is a compound operator like '<'.
+  static const std::set<std::string> ops = {"&&", "||", "==", "!=", "<", ">", "<=", ">=",
+                                            "+",  "-",  "*",  "/",  "%", "!", "?", "<<"};
+  const auto& toks = m.file->toks;
+  std::vector<bool> loop_header;  // one entry per open '(': is it for/while's?
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    const std::string& t = toks[i].text;
+    if (t == "(") {
+      const bool loop = i > 0 && (is_ident(toks[i - 1], "while") || is_ident(toks[i - 1], "for"));
+      loop_header.push_back(loop);
+      continue;
+    }
+    if (t == ")") {
+      if (!loop_header.empty()) loop_header.pop_back();
+      continue;
+    }
+    if (t != "co_await") continue;
+    // The awaited expression must be an identifier chain followed by a call.
+    std::size_t j = i + 1;
+    bool saw_ident = false;
+    while (j < toks.size() && (toks[j].kind == Token::Kind::ident || toks[j].text == "::" ||
+                               toks[j].text == "." || toks[j].text == "->")) {
+      saw_ident = saw_ident || toks[j].kind == Token::Kind::ident;
+      ++j;
+    }
+    if (!saw_ident || j >= toks.size() || toks[j].text != "(") continue;
+    const std::size_t close = match_close(toks, j);
+    if (close == std::string::npos) continue;
+    if (std::find(loop_header.begin(), loop_header.end(), true) != loop_header.end()) {
+      report(m, i, "R1", "co_await of a temporary task inside a loop header", out);
+    } else if ((i > 0 && ops.count(toks[i - 1].text) > 0) ||
+               (close + 1 < toks.size() && ops.count(toks[close + 1].text) > 0)) {
+      report(m, i, "R1", "co_await of a temporary task inside a compound subexpression", out);
+    }
+  }
+}
+
+// R2 — wall-clock and ambient-entropy sources. All time comes from
+// Simulation::now() and all randomness from c4h::Rng, whatever the value
+// flows into (D1 is the flow-sensitive complement).
+void rule_r2(const FileModel& m, std::vector<Finding>& out) {
+  const std::string& path = m.file->path;
+  const std::string rng = "common/rng.hpp";  // the one sanctioned implementation
+  if (path.size() >= rng.size() && path.compare(path.size() - rng.size(), rng.size(), rng) == 0) {
+    return;
+  }
+  static const std::set<std::string> always = {
+      "system_clock", "steady_clock", "high_resolution_clock", "random_device",
+      "mt19937",      "mt19937_64",   "default_random_engine", "gettimeofday"};
+  static const std::set<std::string> call_only = {"rand", "srand", "time", "clock"};
+  const auto& toks = m.file->toks;
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    if (toks[i].kind != Token::Kind::ident) continue;
+    const std::string& t = toks[i].text;
+    if (always.count(t) > 0) {
+      report(m, i, "R2", "wall-clock/entropy source '" + t + "' breaks deterministic replay",
+             out);
+    } else if (call_only.count(t) > 0 && i + 1 < toks.size() && toks[i + 1].text == "(" &&
+               (i == 0 || (toks[i - 1].text != "." && toks[i - 1].text != "->"))) {
+      report(m, i, "R2", "call to '" + t + "()' is nondeterministic across runs", out);
+    }
+  }
+}
+
+// R3 — any traversal of a hash table, whatever the loop body does (D3 only
+// flags order-sensitive bodies). Iterate sorted_keys(), use an ordered
+// container, or annotate a provably order-insensitive loop.
+void rule_r3(const FileModel& m, const SymbolIndex& index, std::vector<Finding>& out) {
+  const auto& toks = m.file->toks;
+  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+    if (toks[i].kind == Token::Kind::ident && index.unordered_decls.count(toks[i].text) > 0 &&
+        toks[i + 1].text == "." && i + 2 < toks.size() && toks[i + 2].text == "begin") {
+      report(m, i, "R3", "iterator loop over unordered container '" + toks[i].text + "'", out);
+      continue;
+    }
+    if (!is_ident(toks[i], "for") || toks[i + 1].text != "(") continue;
+    const std::size_t close = match_close(toks, i + 1);
+    if (close == std::string::npos) continue;
+    std::size_t colon = std::string::npos;  // the range-for ':' at paren depth 1
+    int depth = 0;
+    for (std::size_t j = i + 1; j <= close && colon == std::string::npos; ++j) {
+      if (toks[j].text == "(") ++depth;
+      else if (toks[j].text == ")") --depth;
+      else if (toks[j].text == ":" && depth == 1) colon = j;
+    }
+    if (colon == std::string::npos) continue;
+    // The range expression's last identifier that is not a callee.
+    std::size_t last = std::string::npos;
+    bool sorted = false;
+    for (std::size_t j = colon + 1; j < close; ++j) {
+      sorted = sorted || is_ident(toks[j], "sorted_keys");
+      if (toks[j].kind == Token::Kind::ident && (j + 1 >= close || toks[j + 1].text != "(")) {
+        last = j;
+      }
+    }
+    if (sorted || last == std::string::npos) continue;
+    if (index.unordered_decls.count(toks[last].text) == 0) continue;
+    report(m, last, "R3", "range-for over unordered container '" + toks[last].text + "'", out);
+  }
+}
+
+// R4 — a bare `f(...);` statement where f returns Task<> does nothing (lazy
+// coroutines run only when awaited or spawned); where it returns Result<> it
+// swallows an error. A deliberate discard is `(void)f(...);` plus allow(R4).
+void rule_r4(const FileModel& m, const SymbolIndex& index, std::vector<Finding>& out) {
+  static const std::set<std::string> keywords = {
+      "if",       "else",      "while",    "for",       "do",        "switch",   "case",
+      "return",   "co_return", "co_await", "co_yield",  "break",     "continue", "new",
+      "delete",   "throw",     "goto",     "using",     "typedef",   "auto",     "void",
+      "const",    "static",    "constexpr", "template", "class",     "struct",   "enum",
+      "namespace", "public",   "private",  "protected", "friend",    "default",  "operator",
+      "sizeof",   "this",      "try",      "catch",     "inline",    "explicit", "virtual",
+      "override", "final",     "extern",   "mutable"};
+  // STL member names whose discard is idiomatic.
+  static const std::set<std::string> ambiguous = {
+      "begin", "end",   "erase", "insert", "emplace", "find", "count",     "at",
+      "clear", "size",  "empty", "write",  "read",    "push_back", "reserve", "swap"};
+  const auto name_tok = [&](const Token& t) {
+    return t.kind == Token::Kind::ident && keywords.count(t.text) == 0;
+  };
+  const auto& toks = m.file->toks;
+  bool stmt_start = true;
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    const std::string& t = toks[i].text;
+    const bool boundary = t == ";" || t == "{" || t == "}";
+    if (!stmt_start || boundary) {
+      stmt_start = boundary;
+      continue;
+    }
+    stmt_start = false;
+    std::size_t j = i;
+    const bool laundered = t == "(" && j + 2 < toks.size() && toks[j + 1].text == "void" &&
+                           toks[j + 2].text == ")";
+    if (laundered) {
+      j += 3;
+      if (j < toks.size() && toks[j].text == "co_await") continue;
+    }
+    // Qualified call chain ending in <name> ( ... ) ;
+    std::size_t name = std::string::npos;
+    while (j < toks.size() && name_tok(toks[j])) {
+      name = j++;
+      if (j >= toks.size() ||
+          (toks[j].text != "::" && toks[j].text != "." && toks[j].text != "->")) {
+        break;
+      }
+      ++j;
+    }
+    if (name == std::string::npos || j >= toks.size() || toks[j].text != "(") continue;
+    const std::string& callee = toks[name].text;
+    if (index.result_fns.count(callee) == 0 || ambiguous.count(callee) > 0) continue;
+    const std::size_t close = match_close(toks, j);
+    if (close == std::string::npos || close + 1 >= toks.size() || toks[close + 1].text != ";") {
+      continue;  // the value is consumed somehow
+    }
+    report(m, name, "R4",
+           laundered ? "(void)-laundered Result/Task call '" + callee +
+                           "' lacks an allow annotation"
+                     : "call to '" + callee + "' discards its Result/Task return value",
+           out);
+  }
+}
+
+// R5 — header hygiene: include-guard pragma and the project namespace. A
+// file-level check, so an allow(R5) anywhere in the header suppresses it.
+void rule_r5(const FileModel& m, std::vector<Finding>& out) {
+  const SourceFile& f = *m.file;
+  if (!f.is_header) return;
+  for (const auto& [line, rules] : f.allow) {
+    if (rules.count("R5") > 0) return;
+  }
+  const bool pragma_once =
+      std::any_of(f.raw_lines.begin(), f.raw_lines.end(),
+                  [](const std::string& s) { return s.find("#pragma once") != std::string::npos; });
+  if (!pragma_once) out.push_back({f.path, 1, "R5", "", "header is missing #pragma once"});
+  bool ns = false;
+  for (std::size_t i = 0; i + 1 < f.toks.size() && !ns; ++i) {
+    ns = is_ident(f.toks[i], "namespace") && f.toks[i + 1].text == "c4h";
+  }
+  if (!ns) {
+    out.push_back({f.path, 1, "R5", "", "header does not declare anything in namespace c4h"});
+  }
+}
+
 }  // namespace
+
+const std::set<std::string>& all_rules() {
+  static const std::set<std::string> ids = {"R1", "R2", "R3", "R4", "R5", "A1",
+                                            "A2", "A3", "A4", "D1", "D2", "D3"};
+  return ids;
+}
 
 SymbolIndex build_index(const std::vector<FileModel>& models) {
   SymbolIndex index;
@@ -545,6 +757,22 @@ SymbolIndex build_index(const std::vector<FileModel>& models) {
       }
       if (j < toks.size() && toks[j].kind == Token::Kind::ident) {
         index.unordered_vars.insert(toks[j].text);
+      }
+    }
+    for (std::size_t i = 0; i < toks.size(); ++i) {
+      const std::string& t = toks[i].text;
+      const bool unordered = t == "unordered_map" || t == "unordered_set";
+      if (!unordered && t != "Result" && t != "Task") continue;
+      std::size_t j = skip_angles(toks, i + 1);
+      if (j == std::string::npos) continue;
+      if (unordered) {
+        while (j < toks.size() && (toks[j].text == "*" || toks[j].text == "&")) ++j;
+      }
+      if (j + 1 >= toks.size() || toks[j].kind != Token::Kind::ident) continue;
+      const std::string& next = toks[j + 1].text;
+      if (!unordered && next == "(") index.result_fns.insert(toks[j].text);
+      if (unordered && (next == ";" || next == "=" || next == "{" || next == ",")) {
+        index.unordered_decls.insert(toks[j].text);
       }
     }
   }
@@ -575,6 +803,11 @@ bool propagate_taint(const std::vector<FileModel>& models, SymbolIndex& index) {
 std::vector<Finding> run_rules(const FileModel& m, const SymbolIndex& index,
                                const std::set<std::string>& enabled) {
   std::vector<Finding> out;
+  if (enabled.count("R1") > 0) rule_r1(m, out);
+  if (enabled.count("R2") > 0) rule_r2(m, out);
+  if (enabled.count("R3") > 0) rule_r3(m, index, out);
+  if (enabled.count("R4") > 0) rule_r4(m, index, out);
+  if (enabled.count("R5") > 0) rule_r5(m, out);
   for (const Function& fn : m.fns) {
     if (!fn.has_body) continue;
     if (enabled.count("A1") > 0) rule_a1(m, fn, index, out);

@@ -1,7 +1,17 @@
 // c4h-analyze rule passes.
 //
-// Two rule families run over the per-file models plus a cross-file symbol
+// Three rule families run over the per-file models plus a cross-file symbol
 // index:
+//
+//   Family R — token-level bans (whole file, no dataflow):
+//     R1  co_await of a temporary Task/Result call in a loop header or a
+//         compound subexpression (the GCC-12 coroutine-frame miscompile class)
+//     R2  wall-clock / entropy source anywhere outside src/common/rng.hpp
+//     R3  range-for or .begin() traversal of a declared unordered_map/_set
+//     R4  call statement discarding a Result/Task return without co_await,
+//         assignment, or an annotated (void) launder
+//     R5  header without #pragma once or namespace c4h (file-level: an
+//         allow(R5) anywhere in the header suppresses it)
 //
 //   Family A — coroutine lifetime:
 //     A1  temporary bound to a reference parameter of a spawned Task
@@ -36,7 +46,7 @@ namespace c4h::analyze {
 struct Finding {
   std::string file;
   int line = 0;
-  std::string rule;  // "A1".."A4", "D1".."D3"
+  std::string rule;  // "R1".."R5", "A1".."A4", "D1".."D3"
   std::string func;  // qualified enclosing function
   std::string msg;
 };
@@ -50,10 +60,17 @@ struct SymbolIndex {
     std::set<std::size_t> ref_params;  // positions of non-const lvalue-ref params
   };
   std::map<std::string, FnInfo> fns;        // unqualified name -> merged facts
-  std::set<std::string> unordered_vars;     // names declared as unordered_{map,set,...}
+  std::set<std::string> unordered_vars;     // D3: names declared as unordered_{map,set,...}
+  // R3 keeps the narrower set: unordered_map/unordered_set variables and
+  // members only (the declarator must be followed by ; = { or ,).
+  std::set<std::string> unordered_decls;
+  std::set<std::string> result_fns;         // R4: functions returning Result<> / Task<>
   std::set<std::string> tainted_fns_time;   // return value carries D1 taint
   std::set<std::string> tainted_fns_ptr;    // return value carries D2 taint
 };
+
+/// Every rule id, R1..R5, A1..A4, D1..D3.
+const std::set<std::string>& all_rules();
 
 /// Builds the symbol index over every model (headers included).
 SymbolIndex build_index(const std::vector<FileModel>& models);
