@@ -27,10 +27,7 @@ GeoFederation::GeoFederation(vstore::City& city, GeoConfig config)
 }
 
 VStoreNode* GeoFederation::live_node(const Replica& r) {
-  if (r.home == nullptr) return nullptr;
-  VStoreNode* n = r.home->node_by_key(r.node_key);
-  if (n == nullptr || !n->online()) return nullptr;
-  return n;
+  return r.node != nullptr && r.node->online() ? r.node : nullptr;
 }
 
 sim::Task<> GeoFederation::directory_round_trip(VStoreNode& node, std::size_t partition) {
@@ -56,8 +53,8 @@ sim::Task<bool> GeoFederation::copy_to(VStoreNode& src, VStoreNode& dst, const s
 }
 
 sim::Task<std::vector<GeoFederation::Replica>> GeoFederation::place_replicas(
-    VStoreNode& src, std::size_t from_hood, const std::string& name, Bytes size, int want,
-    std::set<std::size_t> exclude) {
+    VStoreNode& src, std::size_t from_hood, const std::string& name, Key key, Bytes size,
+    int want, std::set<std::size_t> exclude) {
   std::vector<Replica> placed;
   if (want <= 0) co_return placed;
 
@@ -70,7 +67,7 @@ sim::Task<std::vector<GeoFederation::Replica>> GeoFederation::place_replicas(
   }
   std::sort(order.begin(), order.end());
 
-  const std::uint64_t key_raw = Key::from_name(name).raw();
+  const std::uint64_t key_raw = key.raw();
   for (const auto& [lat, h] : order) {
     if (static_cast<int>(placed.size()) >= want) break;
     const Neighborhood& hood = *city_.neighborhoods()[h];
@@ -95,7 +92,7 @@ sim::Task<std::vector<GeoFederation::Replica>> GeoFederation::place_replicas(
     const bool copied = co_await copy_to(src, *target, name, size);
     if (!copied) continue;
     stats_.bytes_replicated += static_cast<double>(size);
-    placed.push_back(Replica{target_home, h, target->chimera().id()});
+    placed.push_back(Replica{target_home, h, target->chimera().id(), target});
   }
   co_return placed;
 }
@@ -110,8 +107,10 @@ sim::Task<Result<void>> GeoFederation::publish(HomeCloud& home, VStoreNode& node
   const std::size_t my_hood = hood->city_index();
 
   // The home's own metadata layer stays the source of truth; the shard
-  // only indexes (same contract as the flat Federation).
-  auto raw = co_await home.kv().get(node.chimera(), Key::from_name(object_name));
+  // only indexes (same contract as the flat Federation). One hash serves
+  // the KV get, the shard and the placement probe.
+  const Key key = Key::from_name(object_name);
+  auto raw = co_await home.kv().get(node.chimera(), key);
   if (!raw.ok()) {
     span.set_error("kv: " + raw.error().message);
     co_return raw.error();
@@ -119,7 +118,7 @@ sim::Task<Result<void>> GeoFederation::publish(HomeCloud& home, VStoreNode& node
   auto rec = ObjectRecord::deserialize(*raw);
   if (!rec.ok()) co_return rec.error();
 
-  const std::size_t part = partition_of(object_name);
+  const std::size_t part = partition_of(key);
   co_await directory_round_trip(node, part);
 
   auto& shard = partitions_[part];
@@ -129,7 +128,8 @@ sim::Task<Result<void>> GeoFederation::publish(HomeCloud& home, VStoreNode& node
     co_return Error{Errc::permission_denied, "published by another home: " + object_name};
   }
   if (it != shard.end()) {
-    // Owner refresh: new size/location, established replicas kept.
+    // Owner refresh: new size/location, established replicas (and their
+    // stamp) kept.
     it->second.size = rec->meta.size;
     if (rec->location.is_cloud()) it->second.s3_url = rec->location.url;
     co_return Result<void>{};
@@ -144,11 +144,11 @@ sim::Task<Result<void>> GeoFederation::publish(HomeCloud& home, VStoreNode& node
     // already — no home-hosted replicas to place.
     entry.s3_url = rec->location.url;
   } else {
-    entry.replicas.push_back(Replica{&home, my_hood, rec->location.node});
     VStoreNode* src = home.node_by_key(rec->location.node);
+    entry.replicas.push_back(Replica{&home, my_hood, rec->location.node, src});
     if (src != nullptr && src->online() && config_.replication > 1) {
       std::set<std::size_t> exclude{my_hood};
-      auto placed = co_await place_replicas(*src, my_hood, object_name, entry.size,
+      auto placed = co_await place_replicas(*src, my_hood, object_name, key, entry.size,
                                             config_.replication - 1, exclude);
       stats_.replicas_placed += placed.size();
       span.attr("replicas", static_cast<std::uint64_t>(placed.size() + 1));
@@ -164,7 +164,7 @@ sim::Task<Result<void>> GeoFederation::withdraw(HomeCloud& home, VStoreNode& nod
                                                 const std::string& object_name) {
   obs::ScopedSpan span(home.trace_ctx(), "fed2.withdraw");
   span.attr("object", object_name);
-  const std::size_t part = partition_of(object_name);
+  const std::size_t part = partition_of(Key::from_name(object_name));
   co_await directory_round_trip(node, part);
   auto& shard = partitions_[part];
   const auto it = shard.find(object_name);
@@ -191,7 +191,7 @@ sim::Task<Result<GeoFetch>> GeoFederation::fetch(HomeCloud& home, VStoreNode& no
   const std::size_t my_hood = my_hood_p->city_index();
 
   ++stats_.directory_queries;
-  const std::size_t part = partition_of(object_name);
+  const std::size_t part = partition_of(Key::from_name(object_name));
   const auto d0 = sim.now();
   co_await directory_round_trip(node, part);
   out.directory_lookup = sim.now() - d0;
@@ -288,23 +288,34 @@ sim::Task<Result<GeoFetch>> GeoFederation::fetch(HomeCloud& home, VStoreNode& no
   co_return out;
 }
 
-sim::Task<std::size_t> GeoFederation::repair_scan() {
-  std::size_t created = 0;
+bool GeoFederation::under_replicated(const std::string& name, Entry& e) const {
   // Cloud-resident entries need nothing (S3 is durable); the rest need
   // attention below the replication degree.
-  const auto under_replicated = [this](const std::string& name, const Entry& e) {
-    return !e.replicas.empty() &&
-           live_replicas_of(name, e) < static_cast<std::size_t>(config_.replication);
-  };
+  if (e.replicas.empty()) return false;
+  // Healthy at the stamp and no replica node has lost anything since: a
+  // node coming back only adds liveness, so the entry is still healthy.
+  if (e.stamped && std::all_of(e.replicas.begin(), e.replicas.end(), [](const Replica& r) {
+        return loss_epoch(r) == r.epoch;
+      })) {
+    return false;
+  }
+  if (live_replicas_of(name, e) < static_cast<std::size_t>(config_.replication)) return true;
+  for (Replica& r : e.replicas) r.epoch = loss_epoch(r);
+  e.stamped = true;
+  return false;
+}
+
+sim::Task<std::size_t> GeoFederation::repair_scan() {
+  std::size_t created = 0;
   for (std::size_t part = 0; part < partitions_.size(); ++part) {
     // Health-check entries in place: almost all are fully replicated, and
     // nothing suspends until one is not. From there on, placement suspends
     // and the shard may gain/lose entries while we're away, so the keys
     // still to visit are snapshotted first (a key added meanwhile waits
     // for the next scan).
-    const auto& shard = partitions_[part];
+    auto& shard = partitions_[part];
     std::vector<std::string> names;
-    const auto first = std::find_if(shard.begin(), shard.end(), [&](const auto& kv) {
+    const auto first = std::find_if(shard.begin(), shard.end(), [&](auto& kv) {
       return under_replicated(kv.first, kv.second);
     });
     for (auto it = first; it != shard.end(); ++it) names.push_back(it->first);
@@ -333,8 +344,8 @@ sim::Task<std::size_t> GeoFederation::repair_scan() {
       VStoreNode* src = live_node(live.front());
       if (src == nullptr) continue;  // lost it between the check and now
       const int want = config_.replication - static_cast<int>(live.size());
-      auto placed = co_await place_replicas(*src, live.front().hood, name, entry.size, want,
-                                            std::move(hosted));
+      auto placed = co_await place_replicas(*src, live.front().hood, name, Key::from_name(name),
+                                            entry.size, want, std::move(hosted));
 
       // Re-find: the entry may have been withdrawn or refreshed while the
       // copies were in flight. New set = copies live now + just placed
@@ -348,6 +359,7 @@ sim::Task<std::size_t> GeoFederation::repair_scan() {
       }
       for (Replica& r : placed) next.push_back(r);
       again->second.replicas = std::move(next);
+      again->second.stamped = false;
       stats_.repairs += placed.size();
       created += placed.size();
     }
@@ -356,7 +368,7 @@ sim::Task<std::size_t> GeoFederation::repair_scan() {
 }
 
 std::size_t GeoFederation::live_replicas(const std::string& object_name) const {
-  const std::size_t part = partition_of(object_name);
+  const std::size_t part = partition_of(Key::from_name(object_name));
   const auto it = partitions_[part].find(object_name);
   if (it == partitions_[part].end()) return 0;
   return live_replicas_of(object_name, it->second);

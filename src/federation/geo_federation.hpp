@@ -23,6 +23,13 @@
 // replica (nearest live one) / shared cloud — and the bench reports tail
 // latency per tier. When churn takes a hosting home's node away,
 // repair_scan() re-replicates from any surviving copy, Chelonia-style.
+//
+// Repair skips what has not changed: an entry that a full check found
+// healthy is stamped with its replica nodes' loss epochs
+// (VStoreNode::loss_epoch). A copy can only go from live to dead when its
+// node goes down or its fs erases a file, and both bump that epoch — so
+// while every stamped epoch still matches, the entry is still healthy and
+// the scan need not re-hash its name on every replica.
 #pragma once
 
 #include <array>
@@ -132,7 +139,13 @@ class GeoFederation {
   struct Replica {
     vstore::HomeCloud* home = nullptr;
     std::size_t hood = 0;  // neighborhood index
-    Key node_key;          // hosting node inside the home
+    Key node_key;          // hosting node inside the home (fingerprint)
+    /// The hosting node, resolved once at placement (a home's nodes are
+    /// fixed after bootstrap()); nullptr when the key named no node.
+    vstore::VStoreNode* node = nullptr;
+    /// node->loss_epoch() at the entry's last healthy full check; only
+    /// meaningful while the entry is `stamped`.
+    std::uint64_t epoch = 0;
   };
 
   struct Entry {
@@ -141,15 +154,28 @@ class GeoFederation {
     std::size_t owner_hood = 0;
     std::string s3_url;             // set when the object lives in the cloud
     std::vector<Replica> replicas;  // [0] is the publisher's own copy
+    /// A full check found this replica list healthy and recorded every
+    /// replica's epoch. Cleared whenever the list is replaced.
+    bool stamped = false;
   };
 
-  std::size_t partition_of(const std::string& name) const {
-    return static_cast<std::size_t>(Key::from_name(name).raw()) % partitions_.size();
+  std::size_t partition_of(Key key) const {
+    return static_cast<std::size_t>(key.raw()) % partitions_.size();
   }
 
   /// The node hosting this replica, or nullptr when it (or its whole home)
   /// is currently unreachable.
   static vstore::VStoreNode* live_node(const Replica& r);
+
+  static std::uint64_t loss_epoch(const Replica& r) {
+    return r.node != nullptr ? r.node->loss_epoch() : 0;
+  }
+
+  /// Whether a published (non-cloud) entry has fewer live copies than the
+  /// replication degree. Exact, but skips the full check while the entry's
+  /// stamp still holds; re-stamps the entry when a full check finds it
+  /// healthy.
+  bool under_replicated(const std::string& name, Entry& e) const;
 
   /// Replicas of `e` (the entry for `name`) whose node is live and still
   /// holds the object.
@@ -158,12 +184,12 @@ class GeoFederation {
   /// Directory round trip from `node` to the shard's neighborhood core.
   sim::Task<> directory_round_trip(vstore::VStoreNode& node, std::size_t partition);
 
-  /// Copies `name` (size `size`) from `src` into up to `want` nodes in the
-  /// nearest neighborhoods (by spine latency from `from_hood`) whose index
-  /// is not in `exclude`. Returns the replicas created.
+  /// Copies `name` (key `key`, size `size`) from `src` into up to `want`
+  /// nodes in the nearest neighborhoods (by spine latency from `from_hood`)
+  /// whose index is not in `exclude`. Returns the replicas created.
   sim::Task<std::vector<Replica>> place_replicas(vstore::VStoreNode& src, std::size_t from_hood,
-                                                 const std::string& name, Bytes size, int want,
-                                                 std::set<std::size_t> exclude);
+                                                 const std::string& name, Key key, Bytes size,
+                                                 int want, std::set<std::size_t> exclude);
 
   /// Copy one object into a chosen node across the wide area.
   sim::Task<bool> copy_to(vstore::VStoreNode& src, vstore::VStoreNode& dst,

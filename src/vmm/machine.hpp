@@ -126,7 +126,14 @@ class Host {
 
   /// Online/offline state (node churn in the home cloud).
   bool online() const { return online_; }
-  void set_online(bool v) { online_ = v; }
+  void set_online(bool v) {
+    if (online_ && !v) ++downs_;
+    online_ = v;
+  }
+
+  /// Online→offline transitions so far. Coming back online is not counted:
+  /// it only adds liveness (see VStoreNode::loss_epoch).
+  std::uint64_t downs() const { return downs_; }
 
   std::uint64_t jobs_completed() const { return jobs_completed_; }
 
@@ -151,6 +158,7 @@ class Host {
   Bytes free_memory_;
   net::NetNodeId net_node_;
   bool online_ = true;
+  std::uint64_t downs_ = 0;
 
   std::uint64_t next_job_id_ = 1;
   // Ordered by id (= submission order), not hashed: recompute() iterates this

@@ -67,6 +67,7 @@ class ObjectFs {
     if (it != files_.end()) {
       release(it->second);
       files_.erase(it);
+      ++erasures_;  // the name is gone until the new copy lands
     }
     co_await sim_.delay(config_.seek + transfer_time(size, config_.write_rate));
     files_.emplace(name, FileEntry{size, bin});
@@ -101,6 +102,7 @@ class ObjectFs {
     if (it == files_.end()) return Error{Errc::not_found, "no file: " + name};
     release(it->second);
     files_.erase(it);
+    ++erasures_;
     return Result<void>{};
   }
 
@@ -117,6 +119,11 @@ class ObjectFs {
   Bytes mandatory_used() const { return mandatory_used_; }
   Bytes voluntary_used() const { return voluntary_used_; }
   std::size_t file_count() const { return files_.size(); }
+
+  /// Files dropped so far, by remove() or by an overwriting write() (which
+  /// erases the old file before its disk delay). The only ways a name this
+  /// fs holds can stop being held.
+  std::uint64_t erasures() const { return erasures_; }
 
   const ObjectFsConfig& config() const { return config_; }
 
@@ -135,6 +142,7 @@ class ObjectFs {
   std::unordered_map<std::string, FileEntry> files_;
   Bytes mandatory_used_ = 0;
   Bytes voluntary_used_ = 0;
+  std::uint64_t erasures_ = 0;
 };
 
 }  // namespace c4h::vstore

@@ -102,6 +102,11 @@ class VStoreNode {
   bool online() const { return chimera_.online(); }
   const VStoreNodeStats& stats() const { return stats_; }
 
+  /// Liveness-loss epoch: grows whenever a copy this node held may have
+  /// stopped being readable here — the host went down or the fs erased a
+  /// file. Unchanged epoch ⇒ every name that was live here still is.
+  std::uint64_t loss_epoch() const { return chimera_.host().downs() + fs_.erasures(); }
+
   /// The principal acting from this node's application VM. Defaults to a
   /// trusted VM named after the node; examples/tests override it to model
   /// multi-user homes and untrusted guests (§VII future work (i)).

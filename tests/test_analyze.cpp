@@ -143,6 +143,25 @@ TEST(Lint, R4GoodAssignedAwaitedAndAnnotatedLintClean) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
 }
 
+TEST(Lint, R3R4SkipNamesDeclaredWithAnotherType) {
+  // `d->preload()` calls a void member that shares a coroutine's name, and
+  // the range-for walks a std::map member that shares a hash table's name.
+  const AnalyzeRun r = analyze(fixture("shadow_good.cpp"));
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
+TEST(Lint, R3R4StillFlagNamesShadowedOnlyByVariablesOrAuto) {
+  const AnalyzeRun r = analyze(fixture("shadow_bad.cpp"));
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_TRUE(r.contains("shadow_bad.cpp:12: [R3] range-for over unordered container 'cells_'"))
+      << r.output;
+  EXPECT_TRUE(
+      r.contains("shadow_bad.cpp:23: [R4] call to 'preload' discards its Result/Task return value"))
+      << r.output;
+  EXPECT_EQ(r.count("[R3]"), 1) << r.output;
+  EXPECT_EQ(r.count("[R4]"), 1) << r.output;
+}
+
 TEST(Lint, R5BadFlagsMissingPragmaAndNamespace) {
   const AnalyzeRun r = analyze(fixture("r5_bad.hpp"));
   EXPECT_EQ(r.exit_code, 1) << r.output;

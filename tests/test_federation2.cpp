@@ -3,6 +3,7 @@
 // cost tiers, churn repair, and same-seed determinism.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -65,6 +66,28 @@ struct CityRig {
     if (to_cloud) opts.policy.fallback = vstore::StoreTarget::remote_cloud;
     auto s = co_await hc.node(0).store_object(name, opts);
     EXPECT_TRUE(s.ok());
+  }
+
+  /// The node in neighborhood `hood` that holds `name`, or nullptr.
+  vstore::VStoreNode* holder(int hood, const std::string& name) {
+    for (int i = 0; i < kHomesPerHood; ++i) {
+      HomeCloud& hc = home(hood, i);
+      for (std::size_t n = 0; n < hc.node_count(); ++n) {
+        if (hc.node(n).fs().contains(name)) return &hc.node(n);
+      }
+    }
+    return nullptr;
+  }
+
+  /// Publishes `name` from h0-0 (its replica lands in hood 1) and runs one
+  /// healthy repair scan, so the entry carries an epoch stamp. Returns the
+  /// node holding the hood-1 copy.
+  Task<vstore::VStoreNode*> publish_stamped(const std::string& name) {
+    co_await store_in(home(0, 0), name, 256_KB);
+    (void)co_await fed->publish(home(0, 0), home(0, 0).node(0), name);
+    const std::size_t healed = co_await fed->repair_scan();
+    EXPECT_EQ(healed, 0u);
+    co_return holder(1, name);
   }
 
   void offline_home(HomeCloud& hc, bool online) {
@@ -295,6 +318,122 @@ TEST(GeoFederation, RepairScanCountsAnEntryWithNoLiveCopyAsAFailure) {
   EXPECT_EQ(rig.fed->stats().repair_failures, 1u);
 }
 
+// --- Repair's epoch stamps (DESIGN.md §12) ----------------------------------
+//
+// A healthy full check stamps an entry with its replica nodes' loss epochs,
+// and later scans skip the entry while those epochs hold. Each test below
+// first runs a healthy scan so that the stamp exists, then changes one
+// thing and checks that the next scan decides as a full check would.
+
+Task<> overwrite(vstore::VStoreNode& n, std::string name, Bytes size) {
+  auto written = co_await n.fs().write(name, size, vstore::Bin::voluntary);
+  EXPECT_TRUE(written.ok());
+}
+
+TEST(GeoFederation, RepairScanSeesAnOverwriteInFlightOnAStampedEntry) {
+  CityRig rig;
+  rig.city.run([](CityRig& r) -> Task<> {
+    vstore::VStoreNode* copy_node = co_await r.publish_stamped("city/ow.jpg");
+    EXPECT_NE(copy_node, nullptr);
+    if (copy_node == nullptr) co_return;
+
+    // An overwrite drops the old file at once and lands the new one after
+    // its disk delay (seek + 256 KB at disk rate, ≈ 8.5 ms). Scan inside it.
+    r.city.sim().spawn(overwrite(*copy_node, "city/ow.jpg", 256_KB));
+    co_await r.city.sim().delay(milliseconds(1));
+    EXPECT_FALSE(copy_node->fs().contains("city/ow.jpg"));
+    EXPECT_EQ(r.fed->live_replicas("city/ow.jpg"), 1u);
+
+    const std::size_t healed = co_await r.fed->repair_scan();
+    EXPECT_EQ(healed, 1u);
+  }(rig));
+  EXPECT_EQ(rig.fed->stats().repairs, 1u);
+  EXPECT_EQ(rig.fed->stats().repair_failures, 0u);
+}
+
+TEST(GeoFederation, RepairScanAfterACrashAndRestartRepairsNothing) {
+  CityRig rig;
+  rig.city.run([](CityRig& r) -> Task<> {
+    vstore::VStoreNode* copy_node = co_await r.publish_stamped("city/back.jpg");
+    EXPECT_NE(copy_node, nullptr);
+    if (copy_node == nullptr) co_return;
+    r.trace_all();
+    const std::string before = r.fed->fingerprint();
+    const TimePoint t0 = r.city.sim().now();
+
+    // Down and back between two scans: the disk survived, so the entry is
+    // as healthy as before and the scan must neither heal nor suspend.
+    copy_node->host().set_online(false);
+    copy_node->host().set_online(true);
+    const std::size_t healed = co_await r.fed->repair_scan();
+    EXPECT_EQ(healed, 0u);
+    EXPECT_EQ(r.fed->live_replicas("city/back.jpg"), 2u);
+    EXPECT_EQ(r.fed->fingerprint(), before);
+    EXPECT_EQ(r.city.sim().now(), t0);
+    EXPECT_TRUE(r.repair_spans().empty());
+  }(rig));
+  EXPECT_EQ(rig.fed->stats().repairs, 0u);
+  EXPECT_EQ(rig.fed->stats().repair_failures, 0u);
+}
+
+TEST(GeoFederation, RepairScanHealsACrashAfterAHealthyScan) {
+  CityRig rig;
+  rig.city.run([](CityRig& r) -> Task<> {
+    vstore::VStoreNode* copy_node = co_await r.publish_stamped("city/down.jpg");
+    EXPECT_NE(copy_node, nullptr);
+    if (copy_node == nullptr) co_return;
+
+    copy_node->host().set_online(false);
+    EXPECT_EQ(r.fed->live_replicas("city/down.jpg"), 1u);
+    const std::size_t healed = co_await r.fed->repair_scan();
+    EXPECT_EQ(healed, 1u);
+    EXPECT_EQ(r.fed->live_replicas("city/down.jpg"), 2u);
+  }(rig));
+  EXPECT_EQ(rig.fed->stats().repairs, 1u);
+}
+
+TEST(GeoFederation, RepairScanRetriesAnEntryWhoseRepairPlacedNothing) {
+  CityRig rig;
+  rig.city.run([](CityRig& r) -> Task<> {
+    (void)co_await r.publish_stamped("city/retry.jpg");
+
+    // The replica's neighborhood and the only other candidate go dark: the
+    // repair drops the dead copy but has nowhere to place a new one, so the
+    // entry is left with one copy (a replaced list, no longer stamped).
+    for (int i = 0; i < kHomesPerHood; ++i) {
+      r.offline_home(r.home(1, i), false);
+      r.offline_home(r.home(2, i), false);
+    }
+    const std::size_t stuck = co_await r.fed->repair_scan();
+    EXPECT_EQ(stuck, 0u);
+    EXPECT_EQ(r.fed->live_replicas("city/retry.jpg"), 1u);
+
+    for (int i = 0; i < kHomesPerHood; ++i) r.offline_home(r.home(2, i), true);
+    const std::size_t healed = co_await r.fed->repair_scan();
+    EXPECT_EQ(healed, 1u);
+    EXPECT_EQ(r.fed->live_replicas("city/retry.jpg"), 2u);
+  }(rig));
+  EXPECT_EQ(rig.fed->stats().repairs, 1u);
+}
+
+TEST(GeoFederation, RepairScanCountsAZeroCopyEntryOnEveryScan) {
+  CityRig rig;
+  rig.city.run([](CityRig& r) -> Task<> {
+    (void)co_await r.publish_stamped("city/zero.jpg");
+    for (int i = 0; i < kHomesPerHood; ++i) {
+      r.offline_home(r.home(0, i), false);
+      r.offline_home(r.home(1, i), false);
+    }
+    EXPECT_EQ(r.fed->live_replicas("city/zero.jpg"), 0u);
+    for (std::uint64_t scan = 1; scan <= 3; ++scan) {
+      const std::size_t healed = co_await r.fed->repair_scan();
+      EXPECT_EQ(healed, 0u);
+      EXPECT_EQ(r.fed->stats().repair_failures, scan);
+    }
+  }(rig));
+  EXPECT_EQ(rig.fed->stats().repairs, 0u);
+}
+
 TEST(GeoFederation, UnavailableOnlyWhenEveryReplicaIsDead) {
   CityRig rig;
   rig.city.run([](CityRig& r) -> Task<> {
@@ -385,6 +524,118 @@ TEST(GeoFederation, SameSeedRunsAreIdentical) {
             "1:city/obj-0:262144:0:|0/h0-0/441897ae6d|1/h1-0/67b120f4a2;"
             "1:city/obj-2:393216:2:|2/h2-0/f95bda132c|0/h0-1/14d96c40ee;"
             "1:city/obj-3:458752:0:|0/h0-0/441897ae6d|1/h1-1/221a859c41;");
+}
+
+// A churned city — 4 neighborhoods × 2 homes × 3 nodes, crash/restart
+// churn, owner re-stores that overwrite and republish, a repair scan every
+// 5 s — recorded as one "created/repairs/failures" triple per scan plus a
+// hash of the final directory.
+struct ChurnedCityRun {
+  std::string scans;
+  std::uint64_t fingerprint_hash = 0;
+  std::uint64_t crashes = 0;
+};
+
+ChurnedCityRun run_churned_city(std::uint64_t seed) {
+  constexpr int kChurnHoods = 4;
+  City city{{.seed = seed, .spines = 2}};
+  std::vector<std::unique_ptr<Neighborhood>> hoods;
+  std::vector<std::unique_ptr<HomeCloud>> homes;
+  for (int h = 0; h < kChurnHoods; ++h) {
+    vstore::NeighborhoodConfig nc;
+    nc.seed = seed;
+    nc.name = "hood-" + std::to_string(h);
+    nc.spine_latency = milliseconds(1 + 3 * h);
+    hoods.push_back(std::make_unique<Neighborhood>(city, nc));
+    for (int i = 0; i < kHomesPerHood; ++i) {
+      HomeCloudConfig cfg;
+      cfg.home_name = std::string("h") + std::to_string(h) + "-" + std::to_string(i);
+      cfg.netbooks = 2;
+      cfg.kv.replication = 2;
+      cfg.kv.ack_replication = true;
+      cfg.start_stabilization = true;
+      cfg.start_monitors = false;
+      cfg.seed = seed + static_cast<std::uint64_t>(h * kHomesPerHood + i);
+      homes.push_back(std::make_unique<HomeCloud>(*hoods.back(), cfg));
+    }
+  }
+  for (auto& hc : homes) hc->bootstrap();
+  GeoFederation fed{city, GeoConfig{.replication = 2}};
+
+  sim::FaultSpec spec;
+  spec.mean_crash_interval = seconds(1);
+  spec.mean_downtime = seconds(8);
+  spec.mean_flap_interval = seconds(86400);
+  spec.horizon = seconds(100);
+  sim::FaultPlan& plan = city.enable_chaos(spec);
+
+  ChurnedCityRun out;
+  city.run([](City& c, GeoFederation& f, ChurnedCityRun& run) -> Task<> {
+    const std::vector<HomeCloud*> all = c.all_homes();
+    const auto online_node = [](HomeCloud& hc) -> vstore::VStoreNode* {
+      for (std::size_t j = 0; j < hc.node_count(); ++j) {
+        if (hc.node(j).online()) return &hc.node(j);
+      }
+      return nullptr;
+    };
+    // (Re-)stores `name` from an online node of `owner` and republishes it;
+    // failures under churn are part of the recorded history.
+    const auto store_and_publish = [](GeoFederation& fed, HomeCloud& owner,
+                                      vstore::VStoreNode& n, std::string name,
+                                      Bytes size) -> Task<> {
+      ObjectMeta m;
+      m.name = name;
+      m.type = "jpg";
+      m.size = size;
+      (void)co_await n.create_object(m);
+      auto stored = co_await n.store_object(name);
+      if (!stored.ok()) co_return;
+      (void)co_await fed.publish(owner, n, name);
+    };
+    for (std::size_t k = 0; k < all.size(); ++k) {
+      for (int i = 0; i < 3; ++i) {
+        const std::string name = "churn/" + std::to_string(k) + "-" + std::to_string(i);
+        const Bytes size = 64_KB + static_cast<Bytes>(k * 3) * 8_KB + static_cast<Bytes>(i) * 8_KB;
+        co_await store_and_publish(f, *all[k], all[k]->node(0), name, size);
+      }
+    }
+    for (int s = 0; s < 24; ++s) {
+      co_await c.sim().delay(seconds(5));
+      for (int w = 0; w < 2; ++w) {
+        const std::size_t k = static_cast<std::size_t>(s * 3 + w * 5) % all.size();
+        vstore::VStoreNode* n = online_node(*all[k]);
+        if (n == nullptr) continue;
+        const std::string name = "churn/" + std::to_string(k) + "-" + std::to_string((s + w) % 3);
+        co_await store_and_publish(f, *all[k], *n, name,
+                                   96_KB + static_cast<Bytes>(s) * 4_KB);
+      }
+      const std::size_t created = co_await f.repair_scan();
+      run.scans += std::to_string(created) + "/" + std::to_string(f.stats().repairs) + "/" +
+                   std::to_string(f.stats().repair_failures) + ";";
+    }
+  }(city, fed, out));
+
+  std::uint64_t h = 14695981039346656037ull;  // FNV-1a 64
+  for (const unsigned char ch : fed.fingerprint()) {
+    h = (h ^ ch) * 1099511628211ull;
+  }
+  out.fingerprint_hash = h;
+  out.crashes = plan.stats().crashes;
+  return out;
+}
+
+// Pinned history guard for the repair fast path: the per-scan series and
+// the directory hash were captured from the full-check-every-entry scan
+// before epoch stamps existed. The stamps may only skip work, never change
+// what a scan decides, so these must not move.
+TEST(GeoFederationPinned, ChurnedCityRepairsAreUnchanged) {
+  const ChurnedCityRun run = run_churned_city(29);
+  EXPECT_GT(run.crashes, 0u);
+  EXPECT_EQ(run.scans,
+            "10/10/1;15/25/1;9/34/2;8/42/3;16/58/4;5/63/5;3/66/5;5/71/6;7/78/7;0/78/8;1/79/8;"
+            "0/79/8;0/79/8;0/79/8;0/79/8;0/79/8;0/79/8;0/79/8;0/79/8;0/79/8;0/79/8;0/79/8;"
+            "0/79/8;0/79/8;");
+  EXPECT_EQ(run.fingerprint_hash, 4058559936679966584ull);
 }
 
 }  // namespace

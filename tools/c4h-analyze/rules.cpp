@@ -19,6 +19,21 @@ bool is_ident(const Token& t, const char* text) {
 
 std::size_t stmt_end(const std::vector<Token>& toks, std::size_t i, std::size_t limit);
 
+// Keywords that can start a statement or precede a name without being a
+// type: R4's statement scan and the symbol index's declaration scan skip
+// them.
+bool is_keyword(const std::string& t) {
+  static const std::set<std::string> keywords = {
+      "if",       "else",      "while",    "for",       "do",        "switch",   "case",
+      "return",   "co_return", "co_await", "co_yield",  "break",     "continue", "new",
+      "delete",   "throw",     "goto",     "using",     "typedef",   "auto",     "void",
+      "const",    "static",    "constexpr", "template", "class",     "struct",   "enum",
+      "namespace", "public",   "private",  "protected", "friend",    "default",  "operator",
+      "sizeof",   "this",      "try",      "catch",     "inline",    "explicit", "virtual",
+      "override", "final",     "extern",   "mutable"};
+  return keywords.count(t) > 0;
+}
+
 // ---------------------------------------------------------------------------
 // Family A helpers
 // ---------------------------------------------------------------------------
@@ -646,20 +661,12 @@ void rule_r3(const FileModel& m, const SymbolIndex& index, std::vector<Finding>&
 // coroutines run only when awaited or spawned); where it returns Result<> it
 // swallows an error. A deliberate discard is `(void)f(...);` plus allow(R4).
 void rule_r4(const FileModel& m, const SymbolIndex& index, std::vector<Finding>& out) {
-  static const std::set<std::string> keywords = {
-      "if",       "else",      "while",    "for",       "do",        "switch",   "case",
-      "return",   "co_return", "co_await", "co_yield",  "break",     "continue", "new",
-      "delete",   "throw",     "goto",     "using",     "typedef",   "auto",     "void",
-      "const",    "static",    "constexpr", "template", "class",     "struct",   "enum",
-      "namespace", "public",   "private",  "protected", "friend",    "default",  "operator",
-      "sizeof",   "this",      "try",      "catch",     "inline",    "explicit", "virtual",
-      "override", "final",     "extern",   "mutable"};
   // STL member names whose discard is idiomatic.
   static const std::set<std::string> ambiguous = {
       "begin", "end",   "erase", "insert", "emplace", "find", "count",     "at",
       "clear", "size",  "empty", "write",  "read",    "push_back", "reserve", "swap"};
   const auto name_tok = [&](const Token& t) {
-    return t.kind == Token::Kind::ident && keywords.count(t.text) == 0;
+    return t.kind == Token::Kind::ident && !is_keyword(t.text);
   };
   const auto& toks = m.file->toks;
   bool stmt_start = true;
@@ -734,6 +741,10 @@ const std::set<std::string>& all_rules() {
 
 SymbolIndex build_index(const std::vector<FileModel>& models) {
   SymbolIndex index;
+  // Names also declared with a type R3/R4 do not track: as functions with
+  // another return type, and as variables/members/parameters.
+  std::set<std::string> other_fns;
+  std::set<std::string> other_vars;
   for (const FileModel& m : models) {
     for (const Function& fn : m.fns) {
       auto& info = index.fns[fn.name];
@@ -762,20 +773,45 @@ SymbolIndex build_index(const std::vector<FileModel>& models) {
     for (std::size_t i = 0; i < toks.size(); ++i) {
       const std::string& t = toks[i].text;
       const bool unordered = t == "unordered_map" || t == "unordered_set";
-      if (!unordered && t != "Result" && t != "Task") continue;
-      std::size_t j = skip_angles(toks, i + 1);
-      if (j == std::string::npos) continue;
-      if (unordered) {
-        while (j < toks.size() && (toks[j].text == "*" || toks[j].text == "&")) ++j;
+      if (unordered || t == "Result" || t == "Task") {
+        std::size_t j = skip_angles(toks, i + 1);
+        if (j == std::string::npos) continue;
+        if (unordered) {
+          while (j < toks.size() && (toks[j].text == "*" || toks[j].text == "&")) ++j;
+        }
+        if (j + 1 >= toks.size() || toks[j].kind != Token::Kind::ident) continue;
+        const std::string& next = toks[j + 1].text;
+        if (!unordered && next == "(") index.result_fns.insert(toks[j].text);
+        if (unordered && (next == ";" || next == "=" || next == "{" || next == ",")) {
+          index.unordered_decls.insert(toks[j].text);
+        }
+        continue;
       }
-      if (j + 1 >= toks.size() || toks[j].kind != Token::Kind::ident) continue;
+      // Any other type (`void`, `int`, `Foo`, `std::map<...>`, with `*`/`&`)
+      // followed by a name that starts a function or a declarator.
+      if (toks[i].kind != Token::Kind::ident || (t != "void" && is_keyword(t))) continue;
+      std::size_t j = i + 1;
+      if (j < toks.size() && toks[j].text == "<") j = skip_angles(toks, j);
+      if (j == std::string::npos) continue;
+      while (j < toks.size() && (toks[j].text == "*" || toks[j].text == "&")) ++j;
+      if (j + 1 >= toks.size() || toks[j].kind != Token::Kind::ident || is_keyword(toks[j].text)) {
+        continue;
+      }
       const std::string& next = toks[j + 1].text;
-      if (!unordered && next == "(") index.result_fns.insert(toks[j].text);
-      if (unordered && (next == ";" || next == "=" || next == "{" || next == ",")) {
-        index.unordered_decls.insert(toks[j].text);
+      if (next == "(") {
+        other_fns.insert(toks[j].text);
+      } else if (next == ";" || next == "=" || next == "{" || next == "," || next == ")") {
+        other_vars.insert(toks[j].text);
       }
     }
   }
+  // R3 and R4 match by unqualified name. A function name the tree also
+  // declares with another return type (a `void preload()` beside a
+  // `Task<> preload(...)`), or a variable name it also declares with another
+  // type (a `std::map` member beside an `unordered_map` one), could be either
+  // at a use site, so it is ambiguous and the rule does not flag it.
+  for (const std::string& name : other_fns) index.result_fns.erase(name);
+  for (const std::string& name : other_vars) index.unordered_decls.erase(name);
   return index;
 }
 

@@ -62,9 +62,12 @@ struct SymbolIndex {
   std::map<std::string, FnInfo> fns;        // unqualified name -> merged facts
   std::set<std::string> unordered_vars;     // D3: names declared as unordered_{map,set,...}
   // R3 keeps the narrower set: unordered_map/unordered_set variables and
-  // members only (the declarator must be followed by ; = { or ,).
+  // members only (the declarator must be followed by ; = { or ,), minus
+  // names also declared as a variable of another type.
   std::set<std::string> unordered_decls;
-  std::set<std::string> result_fns;         // R4: functions returning Result<> / Task<>
+  // R4: functions returning Result<> / Task<>, minus names also declared as
+  // a function with another return type.
+  std::set<std::string> result_fns;
   std::set<std::string> tainted_fns_time;   // return value carries D1 taint
   std::set<std::string> tainted_fns_ptr;    // return value carries D2 taint
 };
