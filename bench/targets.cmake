@@ -33,3 +33,14 @@ c4h_bench(scenario_edonkey_replay c4h_workload)
 # City-scale federation scenario (DESIGN.md §12): cross-neighborhood tenants
 # over the two-tier overlay, tails split by fetch path.
 c4h_bench(scenario_federation c4h_workload c4h_federation)
+
+# The paper reproduction (Fig. 4-8, §V-B split processing, the placement
+# choice ablation) runs under ctest with the `paper` label. The benches write
+# their JSON into build/paper, so the BENCH_*.json glob that bench-compare
+# checks in build/bench never picks up an artifact that has no baseline.
+file(MAKE_DIRECTORY ${CMAKE_BINARY_DIR}/paper)
+foreach(b fig4_home_vs_remote fig5_optimal_object_size fig6_fetch_throughput
+          fig7_service_placement fig8_dynamic_routing split_processing ablation_choices)
+  add_test(NAME paper.${b} COMMAND ${b} WORKING_DIRECTORY ${CMAKE_BINARY_DIR}/paper)
+  set_tests_properties(paper.${b} PROPERTIES LABELS paper)
+endforeach()

@@ -6,12 +6,11 @@
 #pragma once
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
-
-#include "src/common/sha1.hpp"
 
 namespace c4h {
 
@@ -27,11 +26,19 @@ class Key {
   constexpr explicit Key(std::uint64_t raw) : v_(raw & kMask) {}
 
   /// Derives a key by hashing a name with SHA-1 and truncating to 40 bits.
-  static Key from_name(std::string_view name) {
-    const auto d = Sha1::hash(name);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 5; ++i) v = (v << 8) | d[i];
-    return Key{v};
+  /// Every op names its object, and the same names recur, so the result is
+  /// memoised in kNameMemoSets two-way sets, least recently used out. A
+  /// slot holds a whole name of 1..kNameMemoMax bytes and its key; a hit
+  /// needs the stored name to equal the query byte for byte, and a miss
+  /// hashes. So the key never depends on what the memo holds, and the memo
+  /// never grows (64 KiB). Longer and empty names are hashed every time.
+  static Key from_name(std::string_view name);
+
+  static constexpr std::size_t kNameMemoSets = 1024;
+  static constexpr std::size_t kNameMemoMax = 23;
+  /// The memo set `name` maps to (exposed so tests can force collisions).
+  static std::size_t name_memo_set(std::string_view name) {
+    return std::hash<std::string_view>{}(name) % kNameMemoSets;
   }
 
   constexpr std::uint64_t raw() const { return v_; }

@@ -28,29 +28,21 @@ void Sha1::process_block(const std::uint8_t* block) {
     w[i] = rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
   }
 
+  // The four 20-round phases differ only in f and k; one loop each keeps
+  // the round index out of the loop body.
   std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-  for (int i = 0; i < 80; ++i) {
-    std::uint32_t f, k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5A827999u;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    const std::uint32_t tmp = rotl(a, 5) + f + e + k + w[i];
+  const auto round = [&](std::uint32_t f, std::uint32_t k, std::uint32_t wi) {
+    const std::uint32_t tmp = rotl(a, 5) + f + e + k + wi;
     e = d;
     d = c;
     c = rotl(b, 30);
     b = a;
     a = tmp;
-  }
+  };
+  for (int i = 0; i < 20; ++i) round((b & c) | (~b & d), 0x5A827999u, w[i]);
+  for (int i = 20; i < 40; ++i) round(b ^ c ^ d, 0x6ED9EBA1u, w[i]);
+  for (int i = 40; i < 60; ++i) round((b & c) | (b & d) | (c & d), 0x8F1BBCDCu, w[i]);
+  for (int i = 60; i < 80; ++i) round(b ^ c ^ d, 0xCA62C1D6u, w[i]);
   h_[0] += a;
   h_[1] += b;
   h_[2] += c;
@@ -75,14 +67,19 @@ void Sha1::update(const void* data, std::size_t len) {
 }
 
 Sha1::Digest Sha1::finish() {
-  const std::uint64_t bits = total_bits_;
-  const std::uint8_t pad = 0x80;
-  update(&pad, 1);
-  const std::uint8_t zero = 0;
-  while (buf_len_ != 56) update(&zero, 1);
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) len_be[i] = static_cast<std::uint8_t>(bits >> (56 - i * 8));
-  update(len_be, 8);
+  // update() leaves fewer than 64 bytes buffered. Pad in place: 0x80, zeros
+  // up to byte 56 (spilling into a second block when the first has no room
+  // for the length), then the message length in bits, big-endian.
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > 56) {
+    std::memset(buf_.data() + buf_len_, 0, buf_.size() - buf_len_);
+    process_block(buf_.data());
+    buf_len_ = 0;
+  }
+  std::memset(buf_.data() + buf_len_, 0, 56 - buf_len_);
+  for (int i = 0; i < 8; ++i) buf_[56 + i] = static_cast<std::uint8_t>(total_bits_ >> (56 - i * 8));
+  process_block(buf_.data());
+  buf_len_ = 0;
 
   Digest out;
   for (int i = 0; i < 5; ++i) {

@@ -13,10 +13,17 @@
 // call a no-op, so untraced hot paths pay only a pointer test — there is no
 // ambient thread-local "current span", which would misattribute children
 // when coroutines interleave at suspension points.
+//
+// ScopedSpan takes its name, attributes and error note as string views (and
+// numeric values as integers) for the same reason: the std::string a Span
+// stores is built, and a number formatted, only after the tracer test. An
+// untraced op copies no object name and formats no byte count; a test
+// counts its heap allocations and expects none.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -117,10 +124,10 @@ struct Ctx {
 class ScopedSpan {
  public:
   ScopedSpan() = default;
-  ScopedSpan(Ctx ctx, std::string name) {
+  ScopedSpan(Ctx ctx, std::string_view name) {
     if (ctx.on()) {
       tracer_ = ctx.tracer;
-      id_ = tracer_->begin(std::move(name), ctx.parent);
+      id_ = tracer_->begin(std::string(name), ctx.parent);
     }
   }
 
@@ -145,17 +152,19 @@ class ScopedSpan {
   /// Context for child spans of this one.
   Ctx ctx() const { return tracer_ != nullptr ? Ctx{tracer_, id_} : Ctx{}; }
 
-  void attr(std::string key, std::string value) {
-    if (tracer_ != nullptr) tracer_->attr(id_, std::move(key), std::move(value));
+  void attr(std::string_view key, std::string_view value) {
+    if (tracer_ != nullptr) tracer_->attr(id_, std::string(key), std::string(value));
   }
-  void attr(std::string key, std::uint64_t value) {
-    attr(std::move(key), std::to_string(value));
+  void attr(std::string_view key, std::uint64_t value) {
+    if (tracer_ != nullptr) tracer_->attr(id_, std::string(key), std::to_string(value));
   }
 
   /// Marks the span failed; recorded when the span ends.
-  void set_error(std::string note) {
-    status_ = SpanStatus::error;
-    note_ = std::move(note);
+  void set_error(std::string_view note) {
+    if (tracer_ != nullptr) {
+      status_ = SpanStatus::error;
+      note_ = note;
+    }
   }
 
   void end() {

@@ -2,9 +2,12 @@
 // stats, Result.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/common/key.hpp"
 #include "src/common/result.hpp"
@@ -69,6 +72,46 @@ TEST(Sha1, BlockBoundarySizes) {
   }
 }
 
+// Messages whose padding lands on each side of the 56-byte length field and
+// of the block boundary. Byte i is 'a' + 7i mod 26; the digests were computed
+// independently (Python's hashlib).
+std::string pattern(std::size_t n) {
+  std::string s(n, '\0');
+  for (std::size_t i = 0; i < n; ++i) s[i] = static_cast<char>('a' + (i * 7) % 26);
+  return s;
+}
+
+TEST(Sha1, PaddingBoundaryVectors) {
+  const std::pair<std::size_t, const char*> cases[] = {
+      {55, "8e3c5340fffe31264a9d27d62544909ec10d7737"},
+      {56, "dd95883bff80770f68bda678786c64aa79fb86e4"},
+      {63, "3c9d207daf0bdc4c4e4cb75b96eb74231a11969e"},
+      {64, "95e0f141dcbf424ea4f274d5bb42b33f51f4da80"},
+      {119, "462fbd2c395f6bf85645b9302babe74308946556"},
+      {120, "e76f87f98667f9cfd0fce8df03ffb8bedc860d4d"},
+  };
+  for (const auto& [n, digest] : cases) {
+    EXPECT_EQ(hex(Sha1::hash(pattern(n))), digest) << "n=" << n;
+  }
+}
+
+TEST(Sha1, ByteAtATimeAndUnevenChunks) {
+  const std::string s = pattern(200);
+  const char* digest = "9327f3559b8d2b6a2cbf751ca2679062b07faae2";
+  Sha1 bytes;
+  for (char c : s) bytes.update(&c, 1);
+  EXPECT_EQ(hex(bytes.finish()), digest);
+  // Chunks of 1, 2, 3, ... bytes straddle every block boundary differently.
+  Sha1 chunks;
+  std::size_t at = 0;
+  for (std::size_t len = 1; at < s.size(); ++len) {
+    const std::size_t take = std::min(len, s.size() - at);
+    chunks.update(s.data() + at, take);
+    at += take;
+  }
+  EXPECT_EQ(hex(chunks.finish()), digest);
+}
+
 // --- Key ---
 
 TEST(Key, FromNameIs40Bits) {
@@ -121,6 +164,56 @@ TEST(Key, HashSpreadsAcrossSpace) {
   }
   EXPECT_EQ(keys.size(), 1000u);
   EXPECT_EQ(first_digits.size(), 16u);
+}
+
+// Key::from_name memoises; the memo must never change a key. Hashes four
+// times more distinct names than the memo holds (so every slot is overwritten
+// many times), names forced into one set, names too long to memoise and the
+// empty name, in several interleaved orders, against an uncached truncation.
+TEST(Key, FromNameMemoIsExact) {
+  const auto uncached = [](const std::string& name) {
+    const auto d = Sha1::hash(name);
+    std::uint64_t v = 0;
+    for (int i = 0; i < 5; ++i) v = (v << 8) | d[i];
+    return Key{v};
+  };
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < 4 * 2 * Key::kNameMemoSets; ++i) {
+    names.push_back("crowd/obj-" + std::to_string(i));
+  }
+  // Eight names that share set 0, differing in bytes but not in length.
+  std::vector<std::string> same_set;
+  for (int i = 0; same_set.size() < 8; ++i) {
+    std::string n = "set0-" + std::to_string(100000 + i);
+    if (Key::name_memo_set(n) == 0) same_set.push_back(std::move(n));
+  }
+  names.insert(names.end(), same_set.begin(), same_set.end());
+  names.push_back("");
+  names.push_back(std::string(Key::kNameMemoMax, 'm'));
+  names.push_back(std::string(Key::kNameMemoMax + 1, 'm'));
+  names.push_back("a");
+  names.push_back("ab");  // a prefix match must not hit
+
+  for (const auto& n : names) ASSERT_EQ(Key::from_name(n), uncached(n)) << n;
+  for (auto it = names.rbegin(); it != names.rend(); ++it) {
+    ASSERT_EQ(Key::from_name(*it), uncached(*it)) << *it;
+  }
+  // Three names cycling through one two-way set: every lookup evicts the
+  // name the next one asks for; then two that fit, looked up in turn.
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t i = 0; i < 3; ++i) {
+      ASSERT_EQ(Key::from_name(same_set[i]), uncached(same_set[i])) << same_set[i];
+    }
+  }
+  for (std::size_t i = 0; i < 6; ++i) {
+    const std::string& n = same_set[3 + i % 2];
+    ASSERT_EQ(Key::from_name(n), uncached(n)) << n;
+  }
+  // Both ends of the list, interleaved.
+  for (std::size_t i = 0, j = names.size() - 1; i < j; ++i, --j) {
+    ASSERT_EQ(Key::from_name(names[i]), uncached(names[i])) << names[i];
+    ASSERT_EQ(Key::from_name(names[j]), uncached(names[j])) << names[j];
+  }
 }
 
 // --- Serialization ---
