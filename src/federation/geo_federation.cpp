@@ -103,12 +103,12 @@ sim::Task<Result<void>> GeoFederation::publish(HomeCloud& home, VStoreNode& node
   span.attr("object", object_name);
 
   Neighborhood* hood = home.neighborhood();
-  assert(hood != nullptr && hood->city() == &city_ && "home must belong to this city");
+  assert(hood != nullptr && &hood->city() == &city_ && "home must belong to this city");
   const std::size_t my_hood = hood->city_index();
 
   // The home's own metadata layer stays the source of truth; the shard
-  // only indexes (same contract as the flat Federation). One hash serves
-  // the KV get, the shard and the placement probe.
+  // only indexes it. One hash serves the KV get, the shard and the
+  // placement probe.
   const Key key = Key::from_name(object_name);
   auto raw = co_await home.kv().get(node.chimera(), key);
   if (!raw.ok()) {
@@ -187,7 +187,7 @@ sim::Task<Result<GeoFetch>> GeoFederation::fetch(HomeCloud& home, VStoreNode& no
   GeoFetch out;
 
   Neighborhood* my_hood_p = home.neighborhood();
-  assert(my_hood_p != nullptr && my_hood_p->city() == &city_);
+  assert(my_hood_p != nullptr && &my_hood_p->city() == &city_);
   const std::size_t my_hood = my_hood_p->city_index();
 
   ++stats_.directory_queries;

@@ -9,11 +9,11 @@
 //    federation never duplicates that machinery; it only decides *which
 //    home* to ask.
 //
-//  * Between neighborhoods, a partitioned directory replaces the flat
-//    cloud-hosted map of federation.hpp: shard `hash(name) % hoods` lives
-//    at that neighborhood's internet core, so directory traffic pays the
-//    leaf/spine path to the shard's neighborhood instead of a WAN trip to
-//    the datacenter. Every shard is an ordered std::map — iteration order
+//  * Between neighborhoods, a partitioned directory indexes what homes
+//    share: shard `hash(name) % hoods` lives at that neighborhood's
+//    internet core, so directory traffic pays the leaf/spine path to the
+//    shard's neighborhood instead of a WAN trip to the datacenter. A City
+//    of one neighborhood has one shard, at its core. Every shard is an ordered std::map — iteration order
 //    (repair sweeps, fingerprints) is deterministic by construction.
 //
 // Placement: a published object gets `replication` copies in *distinct

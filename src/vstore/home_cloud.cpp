@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace c4h::vstore {
 
@@ -32,51 +33,33 @@ HomeNodeSpec HomeCloudConfig::desktop_spec(const std::string& name) {
   return s;
 }
 
-HomeCloud::HomeCloud(HomeCloudConfig config)
-    : config_(std::move(config)),
-      owned_sim_(std::make_unique<sim::Simulation>(config_.seed)),
-      sim_(owned_sim_.get()),
-      owned_topo_(std::make_unique<net::Topology>()),
-      topo_build_(owned_topo_.get()) {
-  // Standalone world: the "internet" is just the cloud endpoint.
-  switch_node_ = topo_build_->add_node();
-  gateway_wan_ = topo_build_->add_node();
-  cloud_ep_ = topo_build_->add_node();
-  topo_build_->add_duplex(switch_node_, gateway_wan_, config_.lan_rate, config_.lan_latency);
-  wan_up_link_ =
-      topo_build_->add_link(gateway_wan_, cloud_ep_, config_.wan_up, config_.wan_latency,
-                            config_.wan_latency_jitter, config_.wan_rate_jitter);
-  wan_down_link_ =
-      topo_build_->add_link(cloud_ep_, gateway_wan_, config_.wan_down, config_.wan_latency,
-                            config_.wan_latency_jitter, config_.wan_rate_jitter);
-  tracer_ = std::make_unique<obs::Tracer>(*sim_, config_.seed);
-  for (int i = 0; i < config_.netbooks; ++i) {
-    add_node(HomeCloudConfig::netbook_spec(config_.home_name + "/netbook-" + std::to_string(i)));
-  }
-  if (config_.with_desktop) {
-    add_node(HomeCloudConfig::desktop_spec(config_.home_name + "/desktop"));
-  }
-}
+HomeCloud::HomeCloud(HomeCloudConfig config) : HomeCloud(nullptr, std::move(config)) {}
 
 HomeCloud::HomeCloud(Neighborhood& hood, HomeCloudConfig config)
-    : config_(std::move(config)),
-      hood_(&hood),
-      sim_(&hood.sim()),
-      topo_build_(&hood.topology()) {
-  // Federated world: the home's gateway uplinks into the shared internet
-  // core; the cloud endpoint is the neighborhood's.
-  switch_node_ = topo_build_->add_node();
-  gateway_wan_ = topo_build_->add_node();
-  cloud_ep_ = hood.cloud_endpoint();
-  topo_build_->add_duplex(switch_node_, gateway_wan_, config_.lan_rate, config_.lan_latency);
-  wan_up_link_ = topo_build_->add_link(gateway_wan_, hood.internet_core(), config_.wan_up,
-                                       config_.wan_latency, config_.wan_latency_jitter,
-                                       config_.wan_rate_jitter);
-  wan_down_link_ = topo_build_->add_link(hood.internet_core(), gateway_wan_, config_.wan_down,
-                                         config_.wan_latency, config_.wan_latency_jitter,
-                                         config_.wan_rate_jitter);
+    : HomeCloud(&hood, std::move(config)) {}
+
+HomeCloud::HomeCloud(Neighborhood* hood, HomeCloudConfig config)
+    : config_(std::move(config)), hood_(hood) {
+  if (hood_ == nullptr) {
+    owned_sim_ = std::make_unique<sim::Simulation>(config_.seed);
+    owned_topo_ = std::make_unique<net::Topology>();
+  }
+  sim_ = hood_ != nullptr ? &hood_->city().sim() : owned_sim_.get();
+  net::Topology& topo = wiring();
+  switch_node_ = topo.add_node();
+  gateway_wan_ = topo.add_node();
+  // Standalone, the "internet" is just the cloud endpoint. Federated, the
+  // gateway uplinks into the neighborhood's internet core and the cloud is
+  // the city's.
+  cloud_ep_ = hood_ != nullptr ? hood_->city().cloud_endpoint() : topo.add_node();
+  const net::NetNodeId upstream = hood_ != nullptr ? hood_->internet_core() : cloud_ep_;
+  topo.add_duplex(switch_node_, gateway_wan_, config_.lan_rate, config_.lan_latency);
+  wan_up_link_ = topo.add_link(gateway_wan_, upstream, config_.wan_up, config_.wan_latency,
+                               config_.wan_latency_jitter, config_.wan_rate_jitter);
+  wan_down_link_ = topo.add_link(upstream, gateway_wan_, config_.wan_down, config_.wan_latency,
+                                 config_.wan_latency_jitter, config_.wan_rate_jitter);
   tracer_ = std::make_unique<obs::Tracer>(*sim_, config_.seed);
-  hood.register_home(this);
+  if (hood_ != nullptr) hood_->register_home(this);
   for (int i = 0; i < config_.netbooks; ++i) {
     add_node(HomeCloudConfig::netbook_spec(config_.home_name + "/netbook-" + std::to_string(i)));
   }
@@ -87,11 +70,16 @@ HomeCloud::HomeCloud(Neighborhood& hood, HomeCloudConfig config)
 
 HomeCloud::~HomeCloud() = default;
 
+net::Topology& HomeCloud::wiring() {
+  if (finalized_) throw std::logic_error("add_node must precede bootstrap()");
+  return hood_ != nullptr ? hood_->city().topology() : *owned_topo_;
+}
+
 std::size_t HomeCloud::add_node(const HomeNodeSpec& spec) {
-  assert(!finalized_ && "add_node must precede bootstrap()");
+  net::Topology& topo = wiring();
   auto host = std::make_unique<vmm::Host>(*sim_, spec.host);
-  const auto nn = topo_build_->add_node();
-  topo_build_->add_duplex(nn, switch_node_, config_.lan_rate, config_.lan_latency);
+  const auto nn = topo.add_node();
+  topo.add_duplex(nn, switch_node_, config_.lan_rate, config_.lan_latency);
   host->set_net_node(nn);
   hosts_.push_back(std::move(host));
   pending_specs_.push_back(spec);
@@ -111,9 +99,10 @@ void HomeCloud::bootstrap() {
         *sim_, cloud_ep_, cloud::Ec2Instance::extra_large_spec());
     ec2_ = owned_ec2_.get();
   } else {
-    net_ = &hood_->network();  // finalizes the shared topology on first call
-    s3_ = &hood_->s3(config_.transport);
-    ec2_ = &hood_->ec2();
+    City& city = hood_->city();
+    net_ = &city.network();  // finalizes the shared topology on first call
+    s3_ = &city.s3(config_.transport);
+    ec2_ = &city.ec2();
   }
 
   overlay_ = std::make_unique<overlay::Overlay>(*sim_, *net_, config_.overlay);
@@ -121,7 +110,7 @@ void HomeCloud::bootstrap() {
   registry_ = std::make_unique<services::ServiceRegistry>(*kv_);
 
   // Mirror layer activity into this home's registry. The network is only
-  // wired when this home owns it: in a Neighborhood the net is shared and a
+  // wired when this home owns it: in a City the net is shared and a
   // per-home registry would misattribute the other homes' traffic.
   kv_->set_metrics(&metrics_);
   if (hood_ == nullptr) net_->set_metrics(&metrics_);

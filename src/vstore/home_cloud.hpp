@@ -6,9 +6,10 @@
 // VStore++ on every node).
 //
 // A HomeCloud normally owns its whole world (simulation, network, public
-// cloud). It can instead be built *into a Neighborhood* — a shared world
-// where several homes uplink into one internet core and share the public
-// cloud — to model collaborating Cloud4Home infrastructures (§VII (v)).
+// cloud). It can instead be built *into a Neighborhood* of a City — the one
+// shared world, where a neighborhood's homes uplink into its internet core
+// and every home shares the city's clock, network and public cloud — to
+// model collaborating Cloud4Home infrastructures (§VII (v)).
 #pragma once
 
 #include <memory>
@@ -93,9 +94,10 @@ class HomeCloud {
   /// Standalone home: owns its simulation, network, and public cloud.
   explicit HomeCloud(HomeCloudConfig config = {});
 
-  /// Federated home: built into a shared Neighborhood world. The home's
-  /// gateway uplinks to the neighborhood's internet core; S3/EC2 are the
-  /// neighborhood's shared cloud.
+  /// Federated home: built into a Neighborhood of a City. The home's
+  /// gateway uplinks to the neighborhood's internet core; clock, network
+  /// and S3/EC2 are the city's. Throws std::logic_error once any home in
+  /// the city has bootstrapped (the shared topology is frozen).
   HomeCloud(Neighborhood& hood, HomeCloudConfig config);
 
   ~HomeCloud();
@@ -103,7 +105,8 @@ class HomeCloud {
   HomeCloud(const HomeCloud&) = delete;
   HomeCloud& operator=(const HomeCloud&) = delete;
 
-  /// Adds a node before bootstrap(); returns its index.
+  /// Adds a node before bootstrap(); returns its index. Throws
+  /// std::logic_error after bootstrap().
   std::size_t add_node(const HomeNodeSpec& spec);
 
   /// Joins every node into the overlay, publishes initial resource records,
@@ -202,6 +205,13 @@ class HomeCloud {
   void restart_node_async(std::size_t i);
 
  private:
+  /// The one construction path; `hood` is nullptr for a standalone home.
+  HomeCloud(Neighborhood* hood, HomeCloudConfig config);
+
+  /// The topology this home wires into; throws std::logic_error once the
+  /// network is built.
+  net::Topology& wiring();
+
   sim::Task<> restart_node(std::size_t i);
 
   friend class VStoreNode;
@@ -211,12 +221,11 @@ class HomeCloud {
   std::unique_ptr<obs::Tracer> tracer_;  // constructed once sim_ is known
   obs::Registry metrics_;
 
-  // World: owned when standalone, borrowed from the Neighborhood otherwise.
+  // World: owned when standalone, borrowed from the City otherwise.
   Neighborhood* hood_ = nullptr;
   std::unique_ptr<sim::Simulation> owned_sim_;
   sim::Simulation* sim_ = nullptr;
   std::unique_ptr<net::Topology> owned_topo_;  // standalone, pre-finalize
-  net::Topology* topo_build_ = nullptr;        // where wiring happens
   bool finalized_ = false;
 
   net::NetNodeId switch_node_;

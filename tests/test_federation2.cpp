@@ -1,13 +1,17 @@
 // City-scale federation (ROADMAP item 2, DESIGN.md §12): the leaf/spine
-// City world, geo-aware replica placement and selection, the four fetch
-// cost tiers, churn repair, and same-seed determinism.
+// City world, per-home metadata isolation, geo-aware replica placement and
+// selection, the four fetch cost tiers, contention on access links, churn
+// repair, and same-seed determinism.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/federation/geo_federation.hpp"
+#include "src/sim/sync.hpp"
 
 namespace c4h::federation {
 namespace {
@@ -23,14 +27,15 @@ constexpr int kHoods = 3;
 constexpr int kHomesPerHood = 2;
 
 // 3 neighborhoods × 2 homes × 3 nodes, geo-spread spine latencies
-// (1/4/7 ms), replication degree 2.
+// (1/4/7 ms), replication degree 2 unless given.
 struct CityRig {
   City city{{.seed = 7, .spines = 2}};
   std::vector<std::unique_ptr<Neighborhood>> hoods;
   std::vector<std::unique_ptr<HomeCloud>> homes;  // home h*2+i = hood h, slot i
   std::unique_ptr<GeoFederation> fed;
 
-  explicit CityRig(std::uint64_t seed = 7) : city{{.seed = seed, .spines = 2}} {
+  explicit CityRig(std::uint64_t seed = 7, int replication = 2)
+      : city{{.seed = seed, .spines = 2}} {
     for (int h = 0; h < kHoods; ++h) {
       vstore::NeighborhoodConfig nc;
       nc.seed = seed;
@@ -49,7 +54,7 @@ struct CityRig {
       }
     }
     for (auto& hc : homes) hc->bootstrap();
-    fed = std::make_unique<GeoFederation>(city, GeoConfig{.replication = 2});
+    fed = std::make_unique<GeoFederation>(city, GeoConfig{.replication = replication});
   }
 
   HomeCloud& home(int hood, int slot) {
@@ -120,6 +125,7 @@ TEST(CityWorld, SharedClockNetworkAndCloud) {
     EXPECT_EQ(&hc->sim(), &rig.city.sim());
     EXPECT_EQ(&hc->network(), &rig.city.network());
     EXPECT_EQ(&hc->s3(), &rig.city.s3(hc->config().transport));
+    EXPECT_EQ(hc->node_count(), 3u);
   }
   // all_homes interleaves neighborhoods: h0-0, h1-0, h2-0, h0-1, ...
   const std::vector<HomeCloud*> all = rig.city.all_homes();
@@ -128,6 +134,76 @@ TEST(CityWorld, SharedClockNetworkAndCloud) {
   EXPECT_EQ(all[1]->config().home_name, "h1-0");
   EXPECT_EQ(all[2]->config().home_name, "h2-0");
   EXPECT_EQ(all[3]->config().home_name, "h0-1");
+}
+
+TEST(CityWorld, BuildingIntoAFinalizedCityThrows) {
+  City city;
+  Neighborhood hood{city, {}};
+  HomeCloudConfig cfg;
+  cfg.netbooks = 2;
+  cfg.start_monitors = false;
+  cfg.home_name = "a";
+  HomeCloud a{hood, cfg};
+  cfg.home_name = "b";
+  HomeCloud b{hood, cfg};
+  a.bootstrap();  // builds the city network: the shared topology is frozen
+
+  // Neither a new neighborhood, a new home, nor a node of a home built
+  // before the freeze can be wired in any more.
+  EXPECT_THROW({ Neighborhood late(city, {}); }, std::logic_error);
+  cfg.home_name = "c";
+  EXPECT_THROW({ HomeCloud late(hood, cfg); }, std::logic_error);
+  EXPECT_THROW(b.add_node(HomeCloudConfig::netbook_spec("b/netbook-late")), std::logic_error);
+  EXPECT_EQ(city.neighborhoods().size(), 1u);
+  EXPECT_EQ(hood.homes().size(), 2u);
+
+  // The home wired in before the freeze still joins.
+  b.bootstrap();
+  EXPECT_EQ(b.node_count(), 3u);
+  EXPECT_EQ(&b.network(), &a.network());
+}
+
+TEST(Neighborhood, HomesHaveIsolatedMetadata) {
+  CityRig rig;
+  rig.city.run([](CityRig& r) -> Task<> {
+    co_await r.store_in(r.home(0, 0), "private/tax.pdf", 1_MB);
+    // The neighbour's DHT knows nothing about h0-0's objects.
+    auto res = co_await r.home(0, 1).node(0).fetch_object("private/tax.pdf");
+    EXPECT_FALSE(res.ok());
+    EXPECT_EQ(res.code(), Errc::not_found);
+    // h0-0 itself sees it fine.
+    auto mine = co_await r.home(0, 0).node(1).fetch_object("private/tax.pdf");
+    EXPECT_TRUE(mine.ok());
+  }(rig));
+}
+
+TEST(Neighborhood, HomesShareOneClockAndNetwork) {
+  CityRig rig;
+  HomeCloud& a = rig.home(0, 0);
+  HomeCloud& b = rig.home(0, 1);
+  EXPECT_EQ(&a.sim(), &b.sim());
+  EXPECT_EQ(&a.network(), &b.network());
+  EXPECT_EQ(&a.s3(), &b.s3());
+  EXPECT_EQ(rig.hoods[0]->homes().size(), static_cast<std::size_t>(kHomesPerHood));
+}
+
+TEST(Neighborhood, ManyHomesBootstrapCleanly) {
+  City city;
+  Neighborhood hood{city, {}};
+  std::vector<std::unique_ptr<HomeCloud>> homes;
+  for (int i = 0; i < 4; ++i) {
+    HomeCloudConfig cfg;
+    cfg.home_name = "home-" + std::to_string(i);
+    cfg.netbooks = 2;
+    cfg.start_monitors = false;
+    homes.push_back(std::make_unique<HomeCloud>(hood, cfg));
+  }
+  for (auto& hc : homes) hc->bootstrap();
+  EXPECT_EQ(hood.homes().size(), 4u);
+  for (auto& hc : homes) {
+    EXPECT_EQ(hc->node_count(), 3u);
+    EXPECT_EQ(&hc->sim(), &city.sim());
+  }
 }
 
 TEST(CityWorld, SpineLatencyIsGeoDistance) {
@@ -187,6 +263,9 @@ TEST(GeoFederation, FetchClassifiesAllFourPaths) {
     if (!nb.ok()) co_return;
     EXPECT_EQ(nb->path, FetchPath::neighborhood);
     EXPECT_EQ(nb->source_hood, 0u);
+    EXPECT_EQ(nb->source_home, "h0-0");
+    EXPECT_EQ(nb->size, 1_MB);
+    EXPECT_GT(nb->directory_lookup, Duration::zero());
 
     // Far neighborhood (no replica landed there): wide-area, served by the
     // geographically nearest live copy — hood 0 (1 ms) beats hood 1 (4 ms)
@@ -476,7 +555,145 @@ TEST(GeoFederation, OwnershipGuardsHoldCityWide) {
     auto mine = co_await r.fed->withdraw(r.home(0, 0), r.home(0, 0).node(0), "city/own.jpg");
     EXPECT_TRUE(mine.ok());
     EXPECT_EQ(r.fed->directory_size(), 0u);
+    auto gone = co_await r.fed->fetch(r.home(1, 0), r.home(1, 0).node(0), "city/own.jpg");
+    EXPECT_FALSE(gone.ok());
+    EXPECT_EQ(gone.code(), Errc::not_found);
   }(rig));
+}
+
+TEST(GeoFederation, UnpublishedNameIsNotFound) {
+  CityRig rig;
+  rig.city.run([](CityRig& r) -> Task<> {
+    co_await r.store_in(r.home(0, 0), "city/hidden.jpg", 256_KB);
+    auto got = co_await r.fed->fetch(r.home(1, 0), r.home(1, 0).node(0), "city/hidden.jpg");
+    EXPECT_FALSE(got.ok());
+    EXPECT_EQ(got.code(), Errc::not_found);
+  }(rig));
+  EXPECT_EQ(rig.fed->stats().fetch_errors, 1u);
+}
+
+// --- Sharing between the homes of one neighborhood (paper §VII (v)) --------
+
+TEST(Federation, PublishThenCrossHomeFetch) {
+  CityRig rig;
+  rig.city.run([](CityRig& r) -> Task<> {
+    co_await r.store_in(r.home(0, 0), "shared/clip.jpg", 2_MB);
+    auto pub = co_await r.fed->publish(r.home(0, 0), r.home(0, 0).node(0), "shared/clip.jpg");
+    EXPECT_TRUE(pub.ok());
+    EXPECT_EQ(r.fed->directory_size(), 1u);
+
+    auto got = co_await r.fed->fetch(r.home(0, 1), r.home(0, 1).node(1), "shared/clip.jpg");
+    EXPECT_TRUE(got.ok());
+    if (!got.ok()) co_return;
+    EXPECT_EQ(got->size, 2_MB);
+    EXPECT_EQ(got->source_home, "h0-0");
+    EXPECT_EQ(got->path, FetchPath::neighborhood);
+    // Crossed two access networks: seconds, not LAN-milliseconds.
+    EXPECT_GT(to_seconds(got->transfer), 1.0);
+    EXPECT_GT(got->directory_lookup, Duration::zero());
+  }(rig));
+  EXPECT_EQ(rig.fed->stats().fetches[static_cast<std::size_t>(FetchPath::neighborhood)], 1u);
+}
+
+TEST(Federation, FetchOwnHomeUsesLocalPath) {
+  CityRig rig;
+  rig.city.run([](CityRig& r) -> Task<> {
+    co_await r.store_in(r.home(0, 0), "shared/own.jpg", 1_MB);
+    (void)co_await r.fed->publish(r.home(0, 0), r.home(0, 0).node(0), "shared/own.jpg");
+    auto got = co_await r.fed->fetch(r.home(0, 0), r.home(0, 0).node(1), "shared/own.jpg");
+    EXPECT_TRUE(got.ok());
+    if (!got.ok()) co_return;
+    EXPECT_EQ(got->path, FetchPath::local);
+    EXPECT_LT(to_seconds(got->transfer), 1.0);  // stayed on the LAN
+  }(rig));
+}
+
+TEST(Federation, CloudResidentObjectServedFromS3) {
+  CityRig rig;
+  rig.city.run([](CityRig& r) -> Task<> {
+    co_await r.store_in(r.home(0, 0), "shared/incloud.jpg", 2_MB, /*to_cloud=*/true);
+    (void)co_await r.fed->publish(r.home(0, 0), r.home(0, 0).node(0), "shared/incloud.jpg");
+    auto got = co_await r.fed->fetch(r.home(0, 1), r.home(0, 1).node(0), "shared/incloud.jpg");
+    EXPECT_TRUE(got.ok());
+    if (!got.ok()) co_return;
+    EXPECT_EQ(got->path, FetchPath::cloud);
+    EXPECT_TRUE(got->source_home.empty());
+  }(rig));
+  const GeoStats& s = rig.fed->stats();
+  EXPECT_EQ(s.fetches[static_cast<std::size_t>(FetchPath::cloud)], 1u);
+  EXPECT_EQ(s.fetches[static_cast<std::size_t>(FetchPath::neighborhood)], 0u);
+  EXPECT_EQ(s.fetches[static_cast<std::size_t>(FetchPath::wide_area)], 0u);
+}
+
+TEST(Federation, WithdrawRemovesAndGuardsOwnership) {
+  CityRig rig;
+  rig.city.run([](CityRig& r) -> Task<> {
+    co_await r.store_in(r.home(0, 0), "shared/tmp.jpg", 1_MB);
+    (void)co_await r.fed->publish(r.home(0, 0), r.home(0, 0).node(0), "shared/tmp.jpg");
+
+    // The neighbour may not withdraw h0-0's share.
+    auto steal = co_await r.fed->withdraw(r.home(0, 1), r.home(0, 1).node(0), "shared/tmp.jpg");
+    EXPECT_FALSE(steal.ok());
+    EXPECT_EQ(steal.code(), Errc::permission_denied);
+
+    auto mine = co_await r.fed->withdraw(r.home(0, 0), r.home(0, 0).node(0), "shared/tmp.jpg");
+    EXPECT_TRUE(mine.ok());
+    EXPECT_EQ(r.fed->directory_size(), 0u);
+    auto gone = co_await r.fed->fetch(r.home(0, 1), r.home(0, 1).node(0), "shared/tmp.jpg");
+    EXPECT_FALSE(gone.ok());
+  }(rig));
+}
+
+TEST(Federation, SourceNodeOfflineIsUnavailable) {
+  CityRig rig{7, /*replication=*/1};  // the owner's copy is the only one
+  rig.city.run([](CityRig& r) -> Task<> {
+    co_await r.store_in(r.home(0, 0), "shared/fragile.jpg", 1_MB);
+    (void)co_await r.fed->publish(r.home(0, 0), r.home(0, 0).node(0), "shared/fragile.jpg");
+    EXPECT_EQ(r.fed->live_replicas("shared/fragile.jpg"), 1u);
+    r.home(0, 0).node(0).host().set_online(false);
+    auto got = co_await r.fed->fetch(r.home(0, 1), r.home(0, 1).node(0), "shared/fragile.jpg");
+    EXPECT_FALSE(got.ok());
+    EXPECT_EQ(got.code(), Errc::unavailable);
+  }(rig));
+}
+
+TEST(GeoFederation, NeighborhoodFetchesContendOnTheSourceUplink) {
+  // Two concurrent neighborhood-tier fetches from the same source home must
+  // share its one uplink. Objects are large enough that most bytes move
+  // after slow start, where the two flows genuinely contend.
+  CityRig rig;
+  double solo = 0;
+  std::array<double, 2> shared{};
+  rig.city.run([&](CityRig& r) -> Task<> {
+    HomeCloud& src = r.home(0, 0);
+    HomeCloud& dst = r.home(0, 1);
+    co_await r.store_in(src, "city/a.bin", 16_MB);
+    co_await r.store_in(src, "city/b.bin", 16_MB);
+    (void)co_await r.fed->publish(src, src.node(0), "city/a.bin");
+    (void)co_await r.fed->publish(src, src.node(0), "city/b.bin");
+
+    auto g0 = co_await r.fed->fetch(dst, dst.node(0), "city/a.bin");
+    EXPECT_TRUE(g0.ok());
+    if (!g0.ok()) co_return;
+    EXPECT_EQ(g0->path, FetchPath::neighborhood);
+    solo = to_seconds(g0->transfer);
+
+    const auto pull = [](CityRig& rr, vstore::VStoreNode& into, std::string name,
+                         double& out) -> Task<> {
+      auto g = co_await rr.fed->fetch(rr.home(0, 1), into, name);
+      EXPECT_TRUE(g.ok());
+      if (!g.ok()) co_return;
+      EXPECT_EQ(g->path, FetchPath::neighborhood);
+      out = to_seconds(g->transfer);
+    };
+    std::vector<Task<>> both;
+    both.push_back(pull(r, dst.node(0), "city/a.bin", shared[0]));
+    both.push_back(pull(r, dst.node(1), "city/b.bin", shared[1]));
+    co_await sim::when_all(r.city.sim(), std::move(both));
+  }(rig));
+  ASSERT_GT(solo, 0.0);
+  EXPECT_GT(shared[0], solo * 1.4);
+  EXPECT_GT(shared[1], solo * 1.4);
 }
 
 TEST(GeoFederation, SameSeedRunsAreIdentical) {

@@ -2,6 +2,8 @@
 // policies, bin spill, command codec, decision policies.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "src/vstore/command.hpp"
 #include "src/vstore/home_cloud.hpp"
 #include "src/vstore/policy.hpp"
@@ -110,6 +112,18 @@ struct Cloud : HomeCloud {
     return cfg;
   }
 };
+
+TEST(HomeCloud, AddNodeAfterBootstrapThrows) {
+  HomeCloudConfig cfg;
+  cfg.netbooks = 2;
+  cfg.start_monitors = false;
+  HomeCloud hc(cfg);
+  hc.bootstrap();
+  ASSERT_EQ(hc.node_count(), 3u);
+  EXPECT_THROW(hc.add_node(HomeCloudConfig::netbook_spec("home/netbook-late")),
+               std::logic_error);
+  EXPECT_EQ(hc.node_count(), 3u);
+}
 
 TEST(VStore, StoreWithoutCreateFails) {
   Cloud hc;
